@@ -71,12 +71,11 @@ def _check_unroll_once(system, final, k: int, semantics: str,
     encoding = encode_unrolled(system, final, k, semantics,
                                polarity_reduction=polarity_reduction)
     solver = make_solver(solver_engine)
-    solver.ensure_vars(encoding.cnf.num_vars)
-    ok = solver.add_clauses(encoding.cnf.clauses)
+    ok = encoding.load(solver)
     status = solver.solve(budget=budget) if ok else SolveResult.UNSAT
     trace = None
     if status is SolveResult.SAT:
-        trace = encoding.extract_trace(solver.model_value)
+        trace = encoding.extract_trace(solver.model_bits())
     stats = encoding.stats()
     stats.update({f"solver_{key}": value
                   for key, value in solver.stats.as_dict().items()})

@@ -1,13 +1,14 @@
 """Incremental BMC: one CDCL solver across an entire bound sweep.
 
-Classical BMC (``method="sat-unroll"``) re-encodes the unrolling and
-builds a fresh :class:`~repro.sat.solver.CdclSolver` for every bound,
-throwing away the whole clause database — k shared transition frames
-*and* every learnt clause — between k and k+1.  This module keeps
-**one** solver alive for the whole sweep:
+Classical BMC (``method="sat-unroll"``) builds a fresh solver for
+every bound, throwing away the whole clause database — k shared
+transition frames *and* every learnt clause — between k and k+1.  This
+module keeps **one** solver alive for the whole sweep:
 
-* each new bound adds exactly one transition frame of Tseitin clauses
-  (frames 0..k-1 and the init constraint carry over verbatim);
+* each new bound adds exactly one transition frame: the TR clauses of
+  a :class:`~repro.bmc.frames.FrameTemplate`, encoded once per driver
+  and placed on fresh variables by integer offset (frames 0..k-1 and
+  the init constraint carry over verbatim);
 * bound k's final-state constraint F(Z_k) is activated through an
   assumption *group literal* ``g_k``: the clause ``(-g_k, f_k)`` only
   bites while ``g_k`` is assumed, and once the bound is passed the
@@ -30,9 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
 from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult, resolve_engine
 from ..system.model import TransitionSystem
@@ -43,13 +42,10 @@ from ..telemetry.trace import current_tracer
 # imported them from this module.
 from .backend import (BoundResult, SweepBudget, SweepResult,  # noqa: F401
                       drive_sweep, emit_bound)
+from .frames import ClauseTemplate, FrameTemplate
 
 __all__ = ["IncrementalBmc", "BoundResult", "SweepResult", "SweepBudget",
            "emit_bound"]
-
-
-def _frame_name(var: str, step: int) -> str:
-    return f"{var}@{step}"
 
 
 class IncrementalBmc:
@@ -91,12 +87,9 @@ class IncrementalBmc:
         self.polarity_reduction = polarity_reduction
         self.purge_interval = max(1, purge_interval)
         self.engine = resolve_engine(solver)
-        self.pool = VarPool()
-        self.cnf = CNF()
-        self.encoder = TseitinEncoder(self.cnf, self.pool,
-                                      polarity_reduction)
+        self.template = FrameTemplate(system, final, polarity_reduction)
         self.solver = make_solver(self.engine)
-        self._cursor = 0                       # clauses already in solver
+        self._num_vars = 0
         self._groups: Dict[int, int] = {}      # bound -> live group literal
         self._retired_since_purge = 0
         self.k = 0                             # transition frames encoded
@@ -105,25 +98,29 @@ class IncrementalBmc:
         # after a deep check reuses one encoding instead of building a
         # throwaway per bound.
         self._low: Optional["IncrementalBmc"] = None
-
-        frame0 = [_frame_name(v, 0) for v in system.state_vars]
-        self._frames: List[List[str]] = [frame0]
-        self.encoder.assert_expr(
-            system.rename_state_expr(system.init, frame0))
-        for name in frame0:
-            self.pool.named(name)
-        self._flush()
+        # Z_i is variables z_base[i]+1 .. z_base[i]+n; the inputs X_i
+        # of transition frame i start right after x_base[i].
+        self._z_base: List[int] = [self._alloc(self.template.n)]
+        self._x_base: List[int] = []
+        self._load(self.template.init, 0)
 
     # ------------------------------------------------------------------
-    # Clause streaming: encoder output -> live solver
+    # Template placement: instantiated clauses -> live solver
     # ------------------------------------------------------------------
-    def _flush(self) -> int:
-        """Feed newly encoded variables and clauses to the solver."""
-        self.solver.ensure_vars(max(self.cnf.num_vars, self.pool.num_vars))
-        new = self.cnf.clauses[self._cursor:]
-        self._cursor = len(self.cnf.clauses)
-        self.solver.add_clauses(new)
-        return len(new)
+    def _alloc(self, count: int) -> int:
+        """Reserve ``count`` fresh variables; returns the base before."""
+        base = self._num_vars
+        self._num_vars += count
+        return base
+
+    def _load(self, template: ClauseTemplate, z_base: int) -> int:
+        """Place ``template`` with Z at ``z_base`` and everything else on
+        fresh variables, into the solver; returns the rest base."""
+        rest_base = self._alloc(template.rest)
+        self.solver.ensure_vars(self._num_vars)
+        self.solver.add_clauses_flat(template.placed(z_base, rest_base),
+                                     template.ends)
+        return rest_base
 
     def extend(self) -> int:
         """Add one transition frame TR(Z_k, Z_{k+1}); returns clauses added.
@@ -132,35 +129,32 @@ class IncrementalBmc:
         clauses — stays in the solver untouched.
         """
         i = self.k
+        tpl = self.template
         with current_tracer().span("encode.frame", frame=i + 1) as sp:
-            nxt = [_frame_name(v, i + 1) for v in self.system.state_vars]
-            self._frames.append(nxt)
-            step = self.system.trans_between(self._frames[i], nxt,
-                                             input_suffix=f"@{i}")
-            self.encoder.assert_expr(step)
-            for name in nxt:
-                self.pool.named(name)
-            for name in self.system.input_vars:
-                self.pool.named(_frame_name(name, i))
+            # Template order after Z is X_i, aux_i, Z_{i+1}.
+            rest_base = self._load(tpl.trans, self._z_base[i])
+            self._x_base.append(rest_base)
+            self._z_base.append(rest_base + tpl.width - tpl.n)
             self.k += 1
-            added = self._flush()
+            added = len(tpl.trans.ends)
             sp.set(clauses=added)
         return added
 
     def _final_group(self, k: int) -> int:
         """Group literal activating F(Z_k) (allocated on first use).
 
-        Group variables come from the shared pool so they can never
-        collide with frame variables allocated by later ``extend``s.
+        Group variables are reserved like every other variable, so
+        they can never collide with frames added by later ``extend``s.
         """
         g = self._groups.get(k)
         if g is not None:
             return g
-        fin_k = self.system.rename_state_expr(self.final, self._frames[k])
-        lit = self.encoder.encode(fin_k)
-        self._flush()
-        g = self.pool.fresh(f"fin@{k}")
-        self.solver.ensure_vars(self.pool.num_vars)
+        target = self.template.target
+        z_base = self._z_base[k]
+        lit = target.place_lit(target.root, z_base,
+                               self._load(target, z_base))
+        g = self._alloc(1) + 1
+        self.solver.ensure_vars(g)
         self.solver.add_clause([-g, lit])
         self._groups[k] = g
         return g
@@ -252,15 +246,15 @@ class IncrementalBmc:
 
     def extract_trace(self, k: int) -> Trace:
         """Rebuild the witness path for bound k from the last model."""
-        model_value = self.solver.model_value
-        states = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.state_vars}
-            for i in range(k + 1)]
-        inputs = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.input_vars}
-            for i in range(k)]
+        bits = self.solver.model_bits()
+        n, m = self.template.n, self.template.m
+        system = self.system
+        states = [dict(zip(system.state_vars,
+                           map(bool, bits[z + 1:z + 1 + n])))
+                  for z in self._z_base[:k + 1]]
+        inputs = [dict(zip(system.input_vars,
+                           map(bool, bits[x + 1:x + 1 + m])))
+                  for x in self._x_base[:k]]
         return Trace(states, inputs)
 
     # ------------------------------------------------------------------

@@ -5,37 +5,41 @@
 The existentials are plain propositional variables, so the formula is
 decided by a SAT solver.  The price is **k copies of TR** — the memory
 growth the paper sets out to avoid; :func:`repro.bmc.metrics` measures
-exactly this.
+exactly this.  The copies are only *stored* k times: TR is
+Tseitin-encoded once (:mod:`repro.bmc.frames`) and each copy is an
+integer shift of that template.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
-from ..logic import expr as ex
-from ..logic.cnf import CNF, VarPool
+from ..logic.cnf import CNF
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
 from ..telemetry.trace import current_tracer
+from .frames import FrameTemplate
 
 __all__ = ["UnrolledEncoding", "encode_unrolled"]
-
-
-def _frame_name(var: str, step: int) -> str:
-    return f"{var}@{step}"
 
 
 class UnrolledEncoding:
     """The CNF of formula (1) plus the bookkeeping to read traces back.
 
+    TR, init and the target are Tseitin-encoded once into a
+    :class:`~repro.bmc.frames.FrameTemplate`; frame i is the TR
+    template shifted by ``i * W`` (layout ``Z_i X_i aux_i``, then
+    ``Z_k``), followed by the init and target instances' auxiliaries.
+
     Attributes
     ----------
-    cnf:
-        The propositional formula.
-    pool:
-        Variable pool; frame variables are named ``<var>@<step>``.
+    lits, ends:
+        The clauses, flat (see :meth:`load`).
+    num_vars:
+        Number of CNF variables.
+    template:
+        The :class:`~repro.bmc.frames.FrameTemplate` the copies came from.
     k:
         The bound.
     """
@@ -54,82 +58,109 @@ class UnrolledEncoding:
         self.final = final
         self.k = k
         self.semantics = semantics
-        self.pool = VarPool()
-        self.cnf = CNF()
-        self._encode(polarity_reduction)
+        self._cnf: CNF | None = None
+        with current_tracer().span("encode.unroll", k=k,
+                                   semantics=semantics) as sp:
+            self._encode(FrameTemplate(system, final, polarity_reduction))
+            sp.set(clauses=len(self.ends), vars=self.num_vars)
 
     # ------------------------------------------------------------------
-    def _encode(self, polarity_reduction: bool) -> None:
-        with current_tracer().span("encode.unroll", k=self.k,
-                                   semantics=self.semantics) as sp:
-            self._encode_body(polarity_reduction)
-            sp.set(clauses=len(self.cnf.clauses), vars=self.cnf.num_vars)
+    def _encode(self, tpl: FrameTemplate) -> None:
+        k, n, width = self.k, tpl.n, tpl.width
+        lits: List[int] = []
+        ends: List[int] = []
 
-    def _encode_body(self, polarity_reduction: bool) -> None:
-        system = self.system
-        k = self.k
-        encoder = TseitinEncoder(self.cnf, self.pool, polarity_reduction)
+        def place(template, z_base: int, rest_base: int) -> None:
+            base = len(lits)
+            lits.extend(template.placed(z_base, rest_base))
+            ends.extend(e + base for e in template.ends)
 
-        frames = [[_frame_name(v, i) for v in system.state_vars]
-                  for i in range(k + 1)]
-        init_frame0 = system.rename_state_expr(system.init, frames[0])
-        encoder.assert_expr(init_frame0)
-
-        for i in range(k):
-            step = system.trans_between(frames[i], frames[i + 1],
-                                        input_suffix=f"@{i}")
-            encoder.assert_expr(step)
-
-        if self.semantics == "exact":
-            encoder.assert_expr(
-                system.rename_state_expr(self.final, frames[k]))
-        else:
-            encoder.assert_expr(ex.disjoin(
-                system.rename_state_expr(self.final, frames[i])
-                for i in range(k + 1)))
-
-        # Register every frame variable even if logically unconstrained,
-        # so trace extraction can always resolve it.
-        for frame in frames:
-            for name in frame:
-                self.pool.named(name)
-        for i in range(k):
-            for name in system.input_vars:
-                self.pool.named(_frame_name(name, i))
-        self.cnf.num_vars = max(self.cnf.num_vars, self.pool.num_vars)
+        # Clause order is init, TR frames, target (as the solver would
+        # see them from a frame-by-frame encoder): the compiled core
+        # simplifies each clause against the level-0 units loaded
+        # before it, so init's units shrink the frames behind them.
+        top = k * width + n                  # the last frame is Z_k only
+        place(tpl.init, 0, top)
+        top += tpl.init.rest
+        # TR(Z_i, X_i, Z_i+1) for i < k: the template shifted by i * W,
+        # all k copies in one pass (this loop is the hot path).
+        trans = tpl.trans
+        base, size = len(lits), len(trans.lits)
+        lits.extend([l + o if l > 0 else l - o
+                     for o in [i * width for i in range(k)]
+                     for l in trans.lits])
+        ends.extend([e + o for o in [base + i * size for i in range(k)]
+                     for e in trans.ends])
+        target = tpl.target
+        roots = []
+        for i in ([k] if self.semantics == "exact" else range(k + 1)):
+            place(target, i * width, top)
+            roots.append(target.place_lit(target.root, i * width, top))
+            top += target.rest
+        lits.extend(roots)                   # F(Z_k), or a disjunction
+        ends.append(len(lits))
+        self.template = tpl
+        self.lits = lits
+        self.ends = ends
+        self.num_vars = top
 
     # ------------------------------------------------------------------
+    @property
+    def cnf(self) -> CNF:
+        """The formula as a :class:`CNF` (built on first access)."""
+        if self._cnf is None:
+            cnf = CNF(self.num_vars)
+            start = 0
+            for end in self.ends:
+                cnf.clauses.append(tuple(self.lits[start:end]))
+                cnf.has_empty_clause |= end == start
+                start = end
+            self._cnf = cnf
+        return self._cnf
+
+    def load(self, solver) -> bool:
+        """Put the formula into ``solver`` with one bulk call; returns
+        False when it is already known unsatisfiable."""
+        solver.ensure_vars(self.num_vars)
+        return solver.add_clauses_flat(self.lits, self.ends)
+
     def state_var(self, name: str, step: int) -> int:
         """CNF variable of state bit ``name`` at the given step."""
-        return self.pool.named(_frame_name(name, step))
+        return step * self.template.width + \
+            self.template.state_index[name] + 1
 
     def input_var(self, name: str, step: int) -> int:
         """CNF variable of input ``name`` driving step -> step+1."""
-        return self.pool.named(_frame_name(name, step))
+        tpl = self.template
+        return step * tpl.width + tpl.n + tpl.input_index[name] + 1
 
-    def extract_trace(self, model_value) -> Trace:
+    def extract_trace(self, model) -> Trace:
         """Rebuild the witness path from a satisfying assignment.
 
-        ``model_value`` is a callable mapping a CNF variable to
-        bool/None (e.g. ``CdclSolver.model_value``); unassigned
-        variables default to False.
+        ``model`` is a solver's :meth:`model_bits` (byte v is 1 iff
+        variable v is true) or a ``model_value``-style callable mapping
+        a CNF variable to bool/None; unassigned variables read False.
         """
-        states: List[Dict[str, bool]] = []
-        for i in range(self.k + 1):
-            states.append({
-                v: bool(model_value(self.state_var(v, i)))
-                for v in self.system.state_vars})
-        inputs: List[Dict[str, bool]] = []
-        for i in range(self.k):
-            inputs.append({
-                v: bool(model_value(self.input_var(v, i)))
-                for v in self.system.input_vars})
+        if callable(model):
+            bits = bytes([0]) + bytes(bool(model(v))
+                                      for v in range(1, self.num_vars + 1))
+        else:
+            bits = model
+        system = self.system
+        width, n, m = self.template.width, self.template.n, \
+            self.template.m
+        # Frame i's Z and X slots are contiguous: one slice each.
+        starts = [i * width + 1 for i in range(self.k + 1)]
+        states = [dict(zip(system.state_vars, map(bool, bits[z:z + n])))
+                  for z in starts]
+        inputs = [dict(zip(system.input_vars,
+                           map(bool, bits[z + n:z + n + m])))
+                  for z in starts[:-1]]
         return Trace(states, inputs)
 
     def stats(self) -> Dict[str, int]:
-        out = self.cnf.stats()
-        out["trans_copies"] = self.k
-        return out
+        return {"vars": self.num_vars, "clauses": len(self.ends),
+                "literals": len(self.lits), "trans_copies": self.k}
 
 
 def encode_unrolled(system: TransitionSystem, final: Expr, k: int,

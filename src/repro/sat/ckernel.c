@@ -219,6 +219,13 @@ API int64_t ck_stat(Solver *s, int which) {
     return (which >= 0 && which < ST_N) ? s->st[which] : 0;
 }
 
+/* Copy the first min(cap, ST_N) counters into out; returns ST_N. */
+API int32_t ck_stats(Solver *s, int64_t *out, int32_t cap) {
+    int32_t n = cap < ST_N ? cap : ST_N;
+    if (n > 0) memcpy(out, s->st, (size_t)n * sizeof(int64_t));
+    return ST_N;
+}
+
 /* ------------------------------------------------------------------ */
 /* trail                                                               */
 /* ------------------------------------------------------------------ */
@@ -379,6 +386,25 @@ API int ck_add_clause(Solver *s, const int32_t *dlits, int32_t n) {
     vi_push(&s->clauses, cref);
     attach(s, cref);
     return 1;
+}
+
+/* Add n clauses given flat: clause i is lits[ends[i-1] .. ends[i]-1]
+ * (ends[-1] read as 0).  Same semantics as n ck_add_clause calls, in
+ * one FFI crossing; returns the ok flag afterwards, or -1 (nothing
+ * added) when ends is not a non-decreasing sequence within nlits. */
+API int ck_add_clauses(Solver *s, const int32_t *lits, int32_t nlits,
+                       const int32_t *ends, int32_t n) {
+    int32_t start = 0;
+    for (int32_t i = 0; i < n; i++) {
+        if (ends[i] < start || ends[i] > nlits) return -1;
+        start = ends[i];
+    }
+    start = 0;
+    for (int32_t i = 0; i < n && s->ok; i++) {
+        ck_add_clause(s, lits + start, ends[i] - start);
+        start = ends[i];
+    }
+    return s->ok;
 }
 
 /* ------------------------------------------------------------------ */

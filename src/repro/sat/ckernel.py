@@ -102,8 +102,13 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.ck_ok.argtypes = [c_sp]
     lib.ck_stat.restype = i64
     lib.ck_stat.argtypes = [c_sp, ctypes.c_int]
+    lib.ck_stats.restype = i32
+    lib.ck_stats.argtypes = [c_sp, ctypes.POINTER(i64), i32]
     lib.ck_add_clause.restype = ctypes.c_int
     lib.ck_add_clause.argtypes = [c_sp, ctypes.POINTER(i32), i32]
+    lib.ck_add_clauses.restype = ctypes.c_int
+    lib.ck_add_clauses.argtypes = [c_sp, ctypes.POINTER(i32), i32,
+                                   ctypes.POINTER(i32), i32]
     lib.ck_solve.restype = ctypes.c_int
     lib.ck_solve.argtypes = [c_sp, ctypes.POINTER(i32), i32,
                              i64, i64, i64, i64, ctypes.c_double,

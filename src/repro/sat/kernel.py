@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import ctypes
 import time
+from array import array
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -262,6 +263,16 @@ class KernelSolver:
             if not self.add_clause(lits):
                 result = False
         return result
+
+    def add_clauses_flat(self, lits: Sequence[int],
+                         ends: Sequence[int]) -> bool:
+        """Add clauses given flat: clause i is ``lits[ends[i-1]:ends[i]]``
+        (the first starts at 0).  Returns the ``ok`` flag afterwards."""
+        start = 0
+        for end in ends:
+            self.add_clause(lits[start:end])
+            start = end
+        return self.ok
 
     def _push_arena(self, lits: Sequence[int], learnt: bool,
                     proof_id: int, lbd: int = 0) -> int:
@@ -1087,6 +1098,11 @@ class KernelSolver:
                 for v in range(1, len(self._model))
                 if self._model[v] != 0}
 
+    def model_bits(self) -> bytes:
+        """The last model in one read: byte ``v`` is 1 iff variable
+        ``v`` is true (slot 0 unused; unassigned reads 0)."""
+        return bytes(a > 0 for a in self._model)
+
     def core(self) -> List[int]:
         """Failed assumption literals of the last UNSAT-under-assumptions
         call (a subset of the assumptions, in DIMACS form)."""
@@ -1119,6 +1135,19 @@ def _lim(value: int | None) -> int:
     return _UNLIMITED if value is None else value
 
 
+#: ``bytes.translate`` table mapping a model byte (1 true, 0xff false,
+#: 0 unassigned) to 1 iff true.
+_TRUE_BYTE = bytes(1 if b == 1 else 0 for b in range(256))
+
+
+def _int32_view(values: Sequence[int]):
+    """A ctypes int32 array over ``values`` (copied once into an
+    ``array('i')`` unless it already is one)."""
+    if not (isinstance(values, array) and values.typecode == "i"):
+        values = array("i", values)
+    return (ctypes.c_int32 * len(values)).from_buffer(values)
+
+
 class _CKernelStats:
     """``SolverStats`` facade reading counters live from the C core.
 
@@ -1146,9 +1175,13 @@ class _CKernelStats:
         return self._lib.ck_stat(self._h, idx)
 
     def as_dict(self) -> Dict[str, int]:
-        """Counter snapshot keyed by the shared stat names."""
-        return {name: getattr(self, name)
-                for name in SolverStats.__slots__}
+        """Counter snapshot keyed by the shared stat names (one
+        ``ck_stats`` call for every counter)."""
+        buf = (ctypes.c_int64 * len(_CKernelStats._IDX))()
+        self._lib.ck_stats(self._h, buf, len(buf))
+        out = {name: buf[idx] for name, idx in _CKernelStats._IDX.items()}
+        out["solve_calls"] = self.solve_calls
+        return {name: out[name] for name in SolverStats.__slots__}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"_CKernelStats({self.as_dict()})"
@@ -1215,12 +1248,27 @@ class _CKernelSolver(KernelSolver):
         return bool(self._lib.ck_add_clause(self._h, arr, len(lits)))
 
     def add_clauses(self, clause_list: Iterable[Iterable[int]]) -> bool:
-        """Add many clauses; returns False if the formula became UNSAT."""
-        result = True
-        for lits in clause_list:
-            if not self.add_clause(lits):
-                result = False
-        return result
+        """Add many clauses in one FFI call; returns False if the
+        formula is UNSAT afterwards."""
+        lits = array("i")
+        ends = array("i")
+        for clause in clause_list:
+            lits.extend(clause)
+            ends.append(len(lits))
+        return self.add_clauses_flat(lits, ends)
+
+    def add_clauses_flat(self, lits: Sequence[int],
+                         ends: Sequence[int]) -> bool:
+        """Add clauses given flat (see :meth:`KernelSolver.
+        add_clauses_flat`) with one ``ck_add_clauses`` call."""
+        lit_buf = _int32_view(lits)
+        end_buf = _int32_view(ends)
+        ok = self._lib.ck_add_clauses(self._h, lit_buf, len(lit_buf),
+                                      end_buf, len(end_buf))
+        if ok < 0:
+            raise ValueError("clause ends must be non-decreasing and "
+                             "within the literal array")
+        return bool(ok)
 
     def purge_satisfied(self) -> int:
         """Physically delete clauses satisfied at level 0 (jSAT
@@ -1272,6 +1320,14 @@ class _CKernelSolver(KernelSolver):
         mn = self._lib.ck_copy_model(self._h, buf, n)
         return {v: buf[v] > 0 for v in range(1, min(mn, n) + 1)
                 if buf[v] != 0}
+
+    def model_bits(self) -> bytes:
+        """The last model in one ``ck_copy_model`` call: byte ``v`` is
+        1 iff variable ``v`` is true (slot 0 unused)."""
+        n = self._lib.ck_num_vars(self._h)
+        buf = (ctypes.c_int8 * (n + 1))()
+        self._lib.ck_copy_model(self._h, buf, n)
+        return bytes(buf).translate(_TRUE_BYTE)
 
     def core(self) -> List[int]:
         """Failed assumption literals of the last UNSAT-under-

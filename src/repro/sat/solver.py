@@ -234,6 +234,16 @@ class CdclSolver:
                 result = False
         return result
 
+    def add_clauses_flat(self, lits: Sequence[int],
+                         ends: Sequence[int]) -> bool:
+        """Add clauses given flat: clause i is ``lits[ends[i-1]:ends[i]]``
+        (the first starts at 0).  Returns the ``ok`` flag afterwards."""
+        start = 0
+        for end in ends:
+            self.add_clause(lits[start:end])
+            start = end
+        return self.ok
+
     def purge_satisfied(self) -> int:
         """Physically delete clauses satisfied at level 0.
 
@@ -814,6 +824,11 @@ class CdclSolver:
         return {v: bool(self._model[v])
                 for v in range(1, len(self._model))
                 if self._model[v] != UNDEF}
+
+    def model_bits(self) -> bytes:
+        """The last model in one read: byte ``v`` is 1 iff variable
+        ``v`` is true (slot 0 unused; unassigned reads 0)."""
+        return bytes(a == 1 for a in self._model)
 
     def core(self) -> List[int]:
         """Failed assumption literals of the last UNSAT-under-assumptions

@@ -39,7 +39,7 @@ unrolling.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
@@ -81,10 +81,12 @@ def _tokenize(text: str) -> List[str]:
 class _ExprParser:
     """Recursive-descent parser over a token window."""
 
-    def __init__(self, tokens: List[str], defines: Dict[str, Expr]) -> None:
+    def __init__(self, tokens: List[str], defines: Dict[str, Expr],
+                 declared: Set[str]) -> None:
         self.tokens = tokens
         self.pos = 0
         self.defines = defines
+        self.declared = declared
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -160,6 +162,8 @@ class _ExprParser:
         self.take()
         if tok in self.defines:
             return self.defines[tok]
+        if tok not in self.declared:
+            raise SmvError(f"undeclared identifier {tok!r}")
         return ex.var(tok)
 
 
@@ -201,6 +205,7 @@ def parse_smv(text: str, name: str = "smv") -> Circuit:
     module_name = take()
     circuit = Circuit(f"{name}.{module_name}")
     state_vars: List[str] = []
+    declared: Set[str] = set()
     init_exprs: Dict[str, List[str]] = {}
     next_exprs: Dict[str, List[str]] = {}
     define_order: List[Tuple[str, List[str]]] = []
@@ -233,6 +238,7 @@ def parse_smv(text: str, name: str = "smv") -> Circuit:
             take(":")
             take("boolean")
             take(";")
+            declared.add(var_name)
             if section == "VAR":
                 state_vars.append(var_name)
                 circuit.add_latch(var_name, init=None)
@@ -259,20 +265,23 @@ def parse_smv(text: str, name: str = "smv") -> Circuit:
             raise SmvError(f"unexpected token {tok!r} outside any section")
 
     defines: Dict[str, Expr] = {}
+
+    def parse(body: List[str]) -> Expr:
+        return _ExprParser(body, defines, declared).parse()
+
     for def_name, body in define_order:
-        defines[def_name] = _ExprParser(body, defines).parse()
+        defines[def_name] = parse(body)
 
     for var_name in state_vars:
         if var_name in init_exprs:
-            value = _ExprParser(init_exprs[var_name], defines).parse()
+            value = parse(init_exprs[var_name])
             if not value.is_const:
                 raise SmvError(
                     f"init({var_name}) must be a constant in this subset")
             circuit._init_values[var_name] = bool(value.value)
         if var_name not in next_exprs:
             raise SmvError(f"next({var_name}) is missing")
-        circuit.set_next(var_name,
-                         _ExprParser(next_exprs[var_name], defines).parse())
+        circuit.set_next(var_name, parse(next_exprs[var_name]))
 
     # Imported lazily: repro.spec imports the system layer.
     from ..spec.property import Invariant
@@ -285,7 +294,7 @@ def parse_smv(text: str, name: str = "smv") -> Circuit:
             counters[kind] += 1
         if label in circuit.bad:
             raise SmvError(f"duplicate spec label {label!r}")
-        predicate = _ExprParser(body, defines).parse()
+        predicate = parse(body)
         circuit.add_bad(label, ex.mk_not(predicate))
         # The spec's own reading is the invariant, not bad-state
         # reachability — override the Reachable form add_bad registered.

@@ -165,11 +165,14 @@ def ingest_file(path: str | os.PathLike, *, k: int = DEFAULT_K,
     raw = p.read_bytes()
     circuit = load_circuit(p)
     fmt = SUPPORTED_EXTENSIONS[p.suffix]
+    try:
+        canonical = fingerprint_circuit(circuit)
+        system = circuit.to_transition_system()
+    except (AigerError, ValueError) as exc:
+        raise CorpusError(f"{p}: {exc}") from exc
     entry = CorpusEntry(
         path=str(p), format=fmt, circuit=circuit,
-        sha256=hashlib.sha256(raw).hexdigest(),
-        canonical=fingerprint_circuit(circuit))
-    system = circuit.to_transition_system()
+        sha256=hashlib.sha256(raw).hexdigest(), canonical=canonical)
     targets = _targets(circuit)
     if not targets:
         raise CorpusError(f"{p}: no bad sections, outputs or specs")

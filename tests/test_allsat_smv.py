@@ -130,6 +130,11 @@ class TestSmv:
         with pytest.raises(SmvError):
             parse_smv("VAR a : boolean;")                     # no MODULE
 
+    def test_undeclared_identifier(self):
+        with pytest.raises(SmvError, match="undeclared identifier 'zz'"):
+            parse_smv("MODULE main\nVAR a : boolean;\nASSIGN\n"
+                      "  init(a) := FALSE;\n  next(a) := !a & zz;\n")
+
     def test_define_chain(self):
         text = ("MODULE main\nVAR\n  a : boolean;\nASSIGN\n"
                 "  next(a) := step2;\nDEFINE\n  step1 := !a;\n"

@@ -17,6 +17,11 @@ Three layers of agreement:
   cross-checked against the explicit-state oracle;
 * jSAT-style activation-group retirement: retiring groups mid-stream
   must leave both engines answering identically afterwards.
+
+Bulk loading (``add_clauses_flat``, the compiled core's one-call
+``ck_add_clauses``) is pinned to per-clause ``add_clause`` on every
+engine, including empty clauses, tautologies, duplicate literals,
+conflicting units and clauses added after the formula went UNSAT.
 """
 
 import random
@@ -155,6 +160,119 @@ class TestRandomCnf:
             loaded = solver.add_clauses(cnf.clauses)
             status = solver.solve() if loaded else SolveResult.UNSAT
             assert status is expected
+
+
+# ----------------------------------------------------------------------
+# Bulk loading: add_clauses_flat / ck_add_clauses vs per-clause adds
+# ----------------------------------------------------------------------
+def _raw_clauses(rng, num_vars, count):
+    """Unnormalised clauses: empty ones, tautologies, duplicate
+    literals and (likely conflicting) units mixed into random ones."""
+    def lit():
+        return rng.choice([1, -1]) * rng.randint(1, num_vars)
+    out = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.04:
+            out.append([])
+        elif roll < 0.12:
+            x = lit()
+            out.append([x, lit(), -x])
+        elif roll < 0.2:
+            x = lit()
+            out.append([x, x, lit()])
+        elif roll < 0.3:
+            out.append([lit()])
+        else:
+            out.append([lit() for _ in range(rng.randint(1, 4))])
+    return out
+
+
+@pytest.fixture(params=["reference", "interpreted", "compiled"])
+def any_engine(request, monkeypatch):
+    """A constructor for one of the three engines."""
+    if request.param == "reference":
+        return CdclSolver
+    if request.param == "interpreted":
+        monkeypatch.setenv(CORE_ENV, "off")
+    elif not compiled_available():
+        pytest.skip("no C compiler for the compiled kernel core")
+
+    def build():
+        solver = KernelSolver()
+        assert solver.backend == request.param
+        return solver
+    return build
+
+
+class TestBulkLoad:
+    def test_flat_matches_per_clause(self, any_engine):
+        rng = random.Random(20261017)
+        for trial in range(80):
+            num_vars = rng.randint(2, 10)
+            clauses = _raw_clauses(rng, num_vars, rng.randint(0, 30))
+            lits, ends = [], []
+            for clause in clauses:
+                lits.extend(clause)
+                ends.append(len(lits))
+            cnf = CNF(num_vars)
+            cnf.add_clauses(clauses)
+            expected, _ = brute_force_sat(cnf)
+
+            one = any_engine()
+            one.ensure_vars(num_vars)
+            for clause in clauses:
+                one.add_clause(clause)
+            flat = any_engine()
+            flat.ensure_vars(num_vars)
+            ok = flat.add_clauses_flat(lits, ends)
+            batch = any_engine()
+            batch.ensure_vars(num_vars)
+            batch.add_clauses(clauses)
+
+            context = (trial, clauses)
+            assert ok == flat.ok == one.ok == batch.ok, context
+            assert flat.num_clauses() == one.num_clauses() \
+                == batch.num_clauses(), context
+            for solver in (one, flat, batch):
+                status = solver.solve() if solver.ok else SolveResult.UNSAT
+                assert status is expected, context
+                if status is SolveResult.SAT:
+                    _assert_model_satisfies(cnf, solver.model(), context)
+                    bits = solver.model_bits()
+                    for v in range(1, num_vars + 1):
+                        assert bool(bits[v]) == \
+                            bool(solver.model_value(v)), context
+
+    def test_flat_after_unsat_is_a_no_op(self, any_engine):
+        solver = any_engine()
+        solver.ensure_vars(2)
+        assert not solver.add_clauses_flat([1, -1], [1, 2])
+        assert not solver.add_clauses_flat([1, 2], [2])
+        assert solver.solve() is SolveResult.UNSAT
+
+    def test_compiled_rejects_malformed_ends(self, monkeypatch):
+        monkeypatch.delenv(CORE_ENV, raising=False)
+        if not compiled_available():
+            pytest.skip("no C compiler for the compiled kernel core")
+        solver = KernelSolver()
+        solver.ensure_vars(2)
+        for ends in ([3], [2, 1]):             # past the end / decreasing
+            with pytest.raises(ValueError):
+                solver.add_clauses_flat([1, 2], ends)
+        assert solver.num_clauses() == 0 and solver.ok
+
+    def test_compiled_stats_in_one_call(self, monkeypatch):
+        monkeypatch.delenv(CORE_ENV, raising=False)
+        if not compiled_available():
+            pytest.skip("no C compiler for the compiled kernel core")
+        solver = KernelSolver()
+        _pigeonhole(solver, holes=4)
+        solver.solve()
+        stats = solver.stats.as_dict()
+        assert list(stats) == list(CdclSolver().stats.as_dict())
+        for name, value in stats.items():
+            assert value == getattr(solver.stats, name), name
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,20 @@ class TestErrors:
         assert len(rep.errors) == 1
         assert "broken.aag" in next(iter(rep.errors))
 
+    def test_undeclared_smv_identifier_recorded_not_fatal(self, tmp_path):
+        # ``zz`` is never declared: the parser must reject it with a
+        # typed error instead of letting canonicalisation crash ingest.
+        (tmp_path / "ok.aag").write_text(
+            (CORPUS / "toggle.aag").read_text())
+        (tmp_path / "stray.smv").write_text(
+            "MODULE main\nVAR a : boolean;\n"
+            "ASSIGN init(a) := FALSE; next(a) := !a & zz;\n")
+        rep = ingest(tmp_path)
+        assert len(rep.entries) == 1
+        assert len(rep.errors) == 1
+        message = rep.errors[str(tmp_path / "stray.smv")]
+        assert "undeclared identifier 'zz'" in message
+
     def test_strict_raises(self, tmp_path):
         (tmp_path / "broken.aag").write_text("aag 1 1 1\n")
         with pytest.raises(CorpusError):
