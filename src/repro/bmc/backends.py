@@ -108,7 +108,6 @@ class SatUnrollBackend(Backend):
 @dataclasses.dataclass(frozen=True)
 class IncrementalOptions(BackendOptions):
     polarity_reduction: bool = False
-    purge_interval: int = 4
 
 
 @register_backend("sat-incremental")
@@ -134,7 +133,6 @@ class SatIncrementalBackend(Backend):
             self._inc = IncrementalBmc(
                 self.system, self.final,
                 polarity_reduction=self.options.polarity_reduction,
-                purge_interval=self.options.purge_interval,
                 solver=self.options.solver)
         return self._inc
 

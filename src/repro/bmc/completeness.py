@@ -9,9 +9,11 @@ that reaches k is a full proof.
 
 ``longest_simple_path_reached(system, k)`` decides, with one SAT call
 on an unrolled path with pairwise-distinct states, whether loop-free
-paths of length k exist.  ``verify_unbounded`` combines it with any of
-the bounded engines into the complete procedure of the paper — and
-inherits each engine's space behaviour, which is the whole point:
+paths of length k exist; ascending calls share one loop-free
+:class:`~repro.bmc.frames.FrameStack` that gains a frame per bound.
+``verify_unbounded`` combines it with any of the bounded engines into
+the complete procedure of the paper — and inherits each engine's space
+behaviour, which is the whole point:
 with ``method="jsat"`` the procedure's resident formula stays at one TR
 copy even as the bound climbs (only the diameter side-check unrolls).
 """
@@ -20,14 +22,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..logic import expr as ex
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
-from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from .backend import BmcResult
+from .frames import FrameStack, FrameTemplate
 from .session import BmcSession
 
 __all__ = ["longest_simple_path_reached", "verify_unbounded",
@@ -53,12 +52,16 @@ class UnboundedResult:
 
 
 def longest_simple_path_reached(system: TransitionSystem, k: int,
-                                budget: Budget | None = None
+                                budget: Budget | None = None,
+                                stack: FrameStack | None = None
                                 ) -> Optional[bool]:
     """True iff NO loop-free path of length ``k`` from init exists.
 
-    One SAT query: init + k unrolled steps + pairwise state
-    distinctness.  Returns None if the budget ran out.
+    One SAT query on a loop-free :class:`~repro.bmc.frames.FrameStack`
+    (init + k frames, each state distinct from all earlier ones).
+    Returns None if the budget ran out.  Pass a ``stack`` (built with
+    ``loop_free=True``) to carry frames and learnt clauses across calls
+    with ascending ``k``; without one, a fresh stack is built.
 
     ``k == 0`` degenerates to an init-satisfiability probe: a length-0
     path is just an initial state, so a system with unsatisfiable init
@@ -67,25 +70,13 @@ def longest_simple_path_reached(system: TransitionSystem, k: int,
     """
     if k < 0:
         return False
-    pool = VarPool()
-    cnf = CNF()
-    encoder = TseitinEncoder(cnf, pool)
-    frames = [[f"{v}@{i}" for v in system.state_vars]
-              for i in range(k + 1)]
-    encoder.assert_expr(system.rename_state_expr(system.init, frames[0]))
-    for i in range(k):
-        encoder.assert_expr(system.trans_between(frames[i], frames[i + 1],
-                                                 input_suffix=f"@{i}"))
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            same = ex.equal_vectors([ex.var(n) for n in frames[i]],
-                                    [ex.var(n) for n in frames[j]])
-            encoder.assert_expr(ex.mk_not(same))
-    solver = make_solver()
-    solver.ensure_vars(max(cnf.num_vars, pool.num_vars))
-    if not solver.add_clauses(cnf.clauses):
-        return True
-    status = solver.solve(budget=budget)
+    if stack is None:
+        stack = FrameStack(FrameTemplate(system), loop_free=True)
+    if k < stack.k:
+        raise ValueError(f"loop-free stack already holds {stack.k} "
+                         f"frames; bounds must ascend (got {k})")
+    stack.ensure_frames(k)
+    status = stack.solver.solve(budget=budget)
     if status is SolveResult.UNKNOWN:
         return None
     return status is SolveResult.UNSAT
@@ -105,6 +96,7 @@ def verify_unbounded(system: TransitionSystem, final: Expr,
     """
     if budget is not None:
         budget.arm()        # one wall-clock slice for the whole loop
+    paths = FrameStack(FrameTemplate(system), loop_free=True)
     with BmcSession(system, properties={"target": final}) as session:
         for k in range(max_bound + 1):
             if budget is not None and budget.expired():
@@ -115,7 +107,8 @@ def verify_unbounded(system: TransitionSystem, final: Expr,
                 return UnboundedResult("cex", k, result)
             if result.status is SolveResult.UNKNOWN:
                 return UnboundedResult("unknown", k, result)
-            done = longest_simple_path_reached(system, k, budget)
+            done = longest_simple_path_reached(system, k, budget,
+                                               stack=paths)
             if done is None:
                 return UnboundedResult("unknown", k, result)
             if done:

@@ -35,7 +35,6 @@ from ..sat.proof import ResolutionProof
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
-from .induction import _model_bit, _register_frames
 
 __all__ = ["InterpolationResult", "prove_by_interpolation"]
 
@@ -61,6 +60,38 @@ def _frame(system: TransitionSystem, i: int) -> List[str]:
     return [f"{v}@{i}" for v in system.state_vars]
 
 
+def _register_frames(pool: VarPool, system: TransitionSystem,
+                     n_states: int, n_inputs: int) -> None:
+    """Register every frame variable in the pool *before* solving.
+
+    The CDCL solver only reports SAT once every variable it knows about
+    is assigned, so registering the frame bits up front guarantees the
+    model covers them all with TR-consistent values.  Without this, a
+    variable the encoder simplified away (e.g. an input no frame
+    constrains) would be allocated fresh by ``pool.named`` *after* the
+    solve and read back as ``None`` — silently coerced to ``False``.
+    """
+    for i in range(n_states):
+        for v in system.state_vars:
+            pool.named(f"{v}@{i}")
+    for i in range(n_inputs):
+        for v in system.input_vars:
+            pool.named(f"{v}@{i}")
+
+
+def _model_bit(solver, pool: VarPool, name: str) -> bool:
+    """Read one named bit from the model via ``pool.lookup``.
+
+    Never allocates: a name absent from the pool (impossible after
+    :func:`_register_frames`, kept for robustness) defaults to False.
+    """
+    var = pool.lookup(name)
+    if var is None:
+        return False
+    value = solver.model_value(var)
+    return bool(value) if value is not None else False
+
+
 def _implies(antecedent: Expr, consequent: Expr) -> bool:
     """Validity of antecedent -> consequent via one SAT call."""
     query = ex.mk_and(antecedent, ex.mk_not(consequent))
@@ -82,7 +113,7 @@ def _bounded_query(system: TransitionSystem, reach: Expr, bad: Expr,
     pool = VarPool()
     # Register every frame bit up front so a SAT model covers them all
     # (the solver assigns every known variable TR-consistently); see
-    # induction._register_frames for why extraction must never call
+    # _register_frames for why extraction must never call
     # ``pool.named`` after the solve.
     _register_frames(pool, system, k + 1, k)
 

@@ -9,16 +9,17 @@ procedures of :mod:`repro.bmc.induction`, :mod:`repro.bmc.interpolation`
 and :mod:`repro.bmc.completeness` onto the :class:`Backend` protocol:
 
 * ``k-induction`` — base(k) on a persistent :class:`IncrementalBmc`
-  ladder plus an incremental step-case engine (frames, loop-free
-  distinctness and good-state constraints grow monotonically; the
-  bad-successor obligation is a retractable assumption group);
+  ladder plus an incremental step case on a loop-free
+  :class:`~repro.bmc.frames.FrameStack` (frames, distinctness and
+  good-state constraints grow monotonically; the bad-successor
+  obligation is a retractable assumption group);
 * ``interpolation`` — per-rung McMillan fixpoint iteration; the first
   (R = init) query's UNSAT is the bounded within-k answer, a fixpoint
   yields a proof **with an inductive invariant** attached to the
   result;
 * ``diameter`` — the falsifier ladder plus the recurrence-diameter
-  side-check: once no loop-free path of length k exists, the refuted
-  sweep to k is an unbounded proof.
+  side-check on a persistent loop-free stack: once no loop-free path
+  of length k exists, the refuted sweep to k is an unbounded proof.
 
 All three answer only ``within`` semantics (a prover asks "any
 counterexample at all?", never "exactly k"), set ``proves_unbounded``,
@@ -35,24 +36,23 @@ winning proof exactly as it replays a falsifier's witness trace.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..logic import expr as ex
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder, expr_to_cnf
+from ..logic.tseitin import expr_to_cnf
 from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
 from .backend import (Backend, BackendOptions, BmcResult, OnBound,
                       SweepResult, drive_sweep, register_backend)
+from .frames import FrameStack
 from .incremental import IncrementalBmc
 from .interpolation import _bounded_query, _implies
 
 __all__ = ["KInductionBackend", "InterpolationBackend", "DiameterBackend",
-           "KInductionOptions", "InterpolationOptions", "DiameterOptions",
-           "validate_invariant"]
+           "InterpolationOptions", "validate_invariant"]
 
 _COUNTER_KEYS = ("solver_conflicts", "solver_decisions",
                  "solver_propagations")
@@ -98,98 +98,6 @@ def _accumulate(totals: Dict[str, int], stats: Dict[str, int]) -> None:
         totals[key] = totals.get(key, 0) + stats.get(key, 0)
 
 
-class _StepEngine:
-    """Incremental k-induction step case: one solver for every rung.
-
-    Frames, TR links, pairwise distinctness and the good-state
-    constraints are permanent and grow monotonically with the rung;
-    the single per-rung obligation that must *flip* — bad at the last
-    frame, good once the next rung subsumes it — is activated through
-    a retractable assumption group, the same idiom
-    :class:`IncrementalBmc` uses for its final-state constraints.
-    Rungs must ascend (the ladder always does); the owning backend
-    rebuilds the engine rather than ever querying downward.
-    """
-
-    def __init__(self, system: TransitionSystem, bad: Expr,
-                 solver: Optional[str] = None) -> None:
-        self.system = system
-        self.bad = bad
-        self.good = ex.mk_not(bad)
-        self.pool = VarPool()
-        self.cnf = CNF()
-        self.encoder = TseitinEncoder(self.cnf, self.pool)
-        self.solver = make_solver(solver)
-        self._cursor = 0
-        self._frames: List[List[str]] = [
-            [f"{v}@0" for v in system.state_vars]]
-        for name in self._frames[0]:
-            self.pool.named(name)
-        self.top = 0                   # highest frame index encoded
-        self._good_upto = -1           # highest frame with good asserted
-        self.served = -1               # highest rung answered
-        self._flush()
-
-    def _flush(self) -> None:
-        self.solver.ensure_vars(max(self.cnf.num_vars, self.pool.num_vars))
-        new = self.cnf.clauses[self._cursor:]
-        self._cursor = len(self.cnf.clauses)
-        self.solver.add_clauses(new)
-
-    def _extend(self) -> None:
-        """Add frame top+1: names, the TR link, and distinctness
-        against every earlier frame (the loop-free side constraints
-        that make temporal induction complete)."""
-        i = self.top
-        nxt = [f"{v}@{i + 1}" for v in self.system.state_vars]
-        self.encoder.assert_expr(
-            self.system.trans_between(self._frames[i], nxt,
-                                      input_suffix=f"@{i}"))
-        for earlier in self._frames:
-            same = ex.equal_vectors([ex.var(n) for n in earlier],
-                                    [ex.var(n) for n in nxt])
-            self.encoder.assert_expr(ex.mk_not(same))
-        self._frames.append(nxt)
-        for name in nxt:
-            self.pool.named(name)
-        self.top += 1
-        self._flush()
-
-    def query(self, k: int, budget: Budget | None
-              ) -> Tuple[SolveResult, Dict[str, int]]:
-        """step(k): UNSAT iff k+1 loop-free good states never reach a
-        bad successor — together with base(k) that is a proof."""
-        assert k == self.served + 1, "step engine serves ascending rungs"
-        while self.top < k + 1:
-            self._extend()
-        for i in range(self._good_upto + 1, k + 1):
-            self.encoder.assert_expr(
-                self.system.rename_state_expr(self.good, self._frames[i]))
-        self._good_upto = k
-        bad_lit = self.encoder.encode(
-            self.system.rename_state_expr(self.bad, self._frames[k + 1]))
-        self._flush()
-        g = self.pool.fresh(f"step-bad@{k + 1}")
-        self.solver.ensure_vars(self.pool.num_vars)
-        self.solver.add_clause([-g, bad_lit])
-        before = self.solver.stats.as_dict()
-        status = (self.solver.solve([g], budget=budget)
-                  if self.solver.ok else SolveResult.UNSAT)
-        after = self.solver.stats.as_dict()
-        # Retire the bad obligation: the next rung asserts good here.
-        self.solver.add_clause([-g])
-        self.served = k
-        stats = {f"solver_{key}": after[key] - before[key]
-                 for key in ("conflicts", "decisions", "propagations")}
-        return status, stats
-
-
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class KInductionOptions(BackendOptions):
-    purge_interval: int = 4
-
-
 class _ProverBackend(Backend):
     """Shared shape of the three provers: within-only semantics, a
     cached conclusive answer, and the proved-aware sweep ladder."""
@@ -233,42 +141,36 @@ class _ProverBackend(Backend):
                            budget=budget, on_bound=on_bound)
 
 
-@register_backend("k-induction")
-class KInductionBackend(_ProverBackend):
-    """Temporal induction (Sheeran–Singh–Stålmarck) as a backend.
+class _LadderProver(_ProverBackend):
+    """A persistent :class:`IncrementalBmc` base ladder plus a per-rung
+    side check.
 
-    Rung k runs base(k) — one exact-k query on the persistent
-    :class:`IncrementalBmc` ladder, earlier bounds having been refuted
-    and retired on earlier rungs — then step(k) on the incremental
-    :class:`_StepEngine`.  An UNSAT step closes an unbounded proof;
-    the loop-free distinctness constraints make the pair complete for
-    finite systems.
+    Rung i refutes exact-i on the ladder (earlier bounds having been
+    refuted and retired on earlier rungs), then asks :meth:`_closes`
+    whether the refuted sweep to i is already an unbounded proof.
     """
 
     native_incremental = True
-    options_class = KInductionOptions
+    #: Stats key counting the rungs one ``check`` ran.
+    rung_stat = "rungs"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._base: Optional[IncrementalBmc] = None
-        self._step: Optional[_StepEngine] = None
         self._refuted = -1            # every exact-i <= this is UNSAT
 
     @property
     def base(self) -> IncrementalBmc:
         if self._base is None:
-            self._base = IncrementalBmc(
-                self.system, self.final,
-                purge_interval=self.options.purge_interval,
-                solver=self.options.solver)
+            self._base = IncrementalBmc(self.system, self.final,
+                                        solver=self.options.solver)
         return self._base
 
-    @property
-    def step(self) -> _StepEngine:
-        if self._step is None:
-            self._step = _StepEngine(self.system, self.final,
-                                     solver=self.options.solver)
-        return self._step
+    def _closes(self, i: int, budget: Budget | None,
+                totals: Dict[str, int]) -> bool:
+        """Whether the refuted sweep to ``i`` proves the target
+        unreachable at every depth (solver work goes into ``totals``)."""
+        raise NotImplementedError
 
     def check(self, k: int, semantics: str = "within",
               budget: Budget | None = None) -> BmcResult:
@@ -293,13 +195,12 @@ class KInductionBackend(_ProverBackend):
                                    self._stats(totals, rungs))
             self.base.retire_bound(i)
             self._refuted = i
-            step_status, step_stats = self.step.query(i, budget)
-            _accumulate(totals, step_stats)
-            if step_status is SolveResult.UNSAT:
+            if self._closes(i, budget, totals):
                 self._proved = True
                 return self.result(SolveResult.UNSAT, None, k,
                                    self._stats(totals, rungs), proved=True)
-            # step SAT (induction too weak yet) or UNKNOWN: deepen.
+            # Side check SAT (not yet a proof) or out of budget: the
+            # bounded ladder may still finish, so keep deepening.
         if k <= self._refuted:
             return self.result(SolveResult.UNSAT, None, k,
                                self._stats(totals, rungs))
@@ -308,14 +209,71 @@ class KInductionBackend(_ProverBackend):
 
     def _stats(self, totals: Dict[str, int], rungs: int) -> Dict[str, int]:
         totals = dict(totals)
-        totals["induction_rungs"] = rungs
+        totals[self.rung_stat] = rungs
         if self._base is not None:
             totals["trans_frames"] = self._base.k
         return totals
 
     def close(self) -> None:
         self._base = None
+
+
+@register_backend("k-induction")
+class KInductionBackend(_LadderProver):
+    """Temporal induction (Sheeran–Singh–Stålmarck) as a backend.
+
+    Rung k runs base(k) — one exact-k query on the persistent
+    :class:`IncrementalBmc` ladder — then step(k) on a loop-free
+    :class:`~repro.bmc.frames.FrameStack` without init that grows with
+    the rungs: frames, pairwise distinctness and the good-state units
+    ``-bad(Z_i)`` are permanent, and the one obligation that must flip
+    — bad at the last frame, good once the next rung subsumes it — is
+    a retractable assumption group.  Both obligations use the placed
+    target's root literal, which the full Tseitin encoding of the base
+    ladder's template makes equivalent to the target, so it may be
+    negated.  An UNSAT step closes an unbounded proof; the loop-free
+    constraints make the pair complete for finite systems.
+    """
+
+    rung_stat = "induction_rungs"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._step: Optional[FrameStack] = None
+        self._good = 0                # frames below this assert good
+
+    @property
+    def step(self) -> FrameStack:
+        if self._step is None:
+            self._step = FrameStack(self.base.template, self.options.solver,
+                                    init=False, loop_free=True)
+        return self._step
+
+    def _closes(self, i: int, budget: Budget | None,
+                totals: Dict[str, int]) -> bool:
+        """step(i): UNSAT iff i+1 loop-free good states never reach a
+        bad successor — together with base(i) that is a proof."""
+        step = self.step
+        target = self.base.template.target
+        solver = step.solver
+        step.ensure_frames(i + 1)
+        for j in range(self._good, i + 1):
+            solver.add_clause([-step.root(target, j)])
+        self._good = i + 1
+        g = step.activate("bad", step.root(target, i + 1))
+        before = solver.stats.as_dict()
+        status = solver.solve([g], budget=budget)
+        after = solver.stats.as_dict()
+        step.retire("bad")            # the next rung asserts good here
+        _accumulate(totals, {f"solver_{key}": after[key] - before[key]
+                             for key in ("conflicts", "decisions",
+                                         "propagations")})
+        return status is SolveResult.UNSAT
+
+    def close(self) -> None:
+        super().close()
         self._step = None
+        self._good = 0
 
 
 # ----------------------------------------------------------------------
@@ -415,13 +373,8 @@ class InterpolationBackend(_ProverBackend):
 
 
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class DiameterOptions(BackendOptions):
-    purge_interval: int = 4
-
-
 @register_backend("diameter")
-class DiameterBackend(_ProverBackend):
+class DiameterBackend(_LadderProver):
     """The paper's completeness procedure as a backend.
 
     Rung k refutes exact-k on the persistent :class:`IncrementalBmc`
@@ -429,70 +382,28 @@ class DiameterBackend(_ProverBackend):
     loop-free path of length k still exists — once none does, every
     reachable state was already covered and the refuted sweep is an
     unbounded proof ("the bound should be increased iteratively up to
-    the length of the longest simple path", §intro).
+    the length of the longest simple path", §intro).  The side check
+    runs on one persistent init + distinctness
+    :class:`~repro.bmc.frames.FrameStack` that gains one frame per rung.
     """
 
-    native_incremental = True
-    options_class = DiameterOptions
+    rung_stat = "diameter_rungs"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._base: Optional[IncrementalBmc] = None
-        self._refuted = -1
+        self._paths: Optional[FrameStack] = None
 
-    @property
-    def base(self) -> IncrementalBmc:
-        if self._base is None:
-            self._base = IncrementalBmc(
-                self.system, self.final,
-                purge_interval=self.options.purge_interval,
-                solver=self.options.solver)
-        return self._base
-
-    def check(self, k: int, semantics: str = "within",
-              budget: Budget | None = None) -> BmcResult:
-        self._require_within(semantics)
+    def _closes(self, i: int, budget: Budget | None,
+                totals: Dict[str, int]) -> bool:
         # Imported lazily: completeness.py pulls in the session layer.
         from .completeness import longest_simple_path_reached
-        if budget is not None:
-            budget.arm()              # one slice across all rungs
-        cached = self._cached(k)
-        if cached is not None:
-            return cached
-        totals: Dict[str, int] = {}
-        rungs = 0
-        for i in range(self._refuted + 1, k + 1):
-            rungs += 1
-            status, trace, stats = self.base.check_bound(i, budget=budget)
-            _accumulate(totals, stats)
-            if status is SolveResult.SAT:
-                self._cex = trace
-                return self.result(SolveResult.SAT, trace, k,
-                                   self._stats(totals, rungs))
-            if status is SolveResult.UNKNOWN:
-                return self.result(SolveResult.UNKNOWN, None, k,
-                                   self._stats(totals, rungs))
-            self.base.retire_bound(i)
-            self._refuted = i
-            done = longest_simple_path_reached(self.system, i, budget)
-            if done:
-                self._proved = True
-                return self.result(SolveResult.UNSAT, None, k,
-                                   self._stats(totals, rungs), proved=True)
-            # done is None on budget exhaustion: the bounded ladder may
-            # still finish, so keep deepening.
-        if k <= self._refuted:
-            return self.result(SolveResult.UNSAT, None, k,
-                               self._stats(totals, rungs))
-        return self.result(SolveResult.UNKNOWN, None, k,
-                           self._stats(totals, rungs))
-
-    def _stats(self, totals: Dict[str, int], rungs: int) -> Dict[str, int]:
-        totals = dict(totals)
-        totals["diameter_rungs"] = rungs
-        if self._base is not None:
-            totals["trans_frames"] = self._base.k
-        return totals
+        if self._paths is None:
+            self._paths = FrameStack(self.base.template, self.options.solver,
+                                     loop_free=True)
+        # None (budget exhausted) keeps the ladder deepening.
+        return bool(longest_simple_path_reached(self.system, i, budget,
+                                                stack=self._paths))
 
     def close(self) -> None:
-        self._base = None
+        super().close()
+        self._paths = None

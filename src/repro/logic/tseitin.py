@@ -22,7 +22,7 @@ unrollers can mix several encoded formulae in one variable space.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .cnf import CNF, VarPool
 from .expr import Expr
@@ -138,11 +138,36 @@ class TseitinEncoder:
         return node_pol
 
     def _encode_dag(self, root: Expr, polarity: int) -> int:
-        node_pol = self._compute_polarities(root, polarity)
         lits: Dict[int, int] = {}
-        for node in root.iter_dag():          # post-order: children first
-            lits[node.uid] = self._emit(node, lits, node_pol[node.uid])
+        if self.polarity_reduction:
+            node_pol = self._compute_polarities(root, polarity)
+            for node in root.iter_dag():      # post-order: children first
+                lits[node.uid] = self._emit(node, lits, node_pol[node.uid])
+        else:
+            for node in self._fresh_nodes(root):
+                lits[node.uid] = self._emit(node, lits, _BOTH)
         return lits[root.uid]
+
+    def _fresh_nodes(self, root: Expr) -> Iterator[Expr]:
+        """``root.iter_dag()`` without descending into nodes an earlier
+        call already encoded: with full definitions nothing below such a
+        node needs emitting again (same order as ``iter_dag`` otherwise,
+        so a fresh encoder numbers exactly as before)."""
+        cache = self._lit_cache
+        seen: Set[int] = set()
+        stack: List[Tuple[Expr, bool]] = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node.uid in seen:
+                continue
+            if expanded or node.uid in cache:
+                seen.add(node.uid)
+                yield node
+            else:
+                stack.append((node, True))
+                for child in node.args:
+                    if child.uid not in seen:
+                        stack.append((child, False))
 
     def _emit(self, node: Expr, lits: Dict[int, int], polarity: int) -> int:
         op = node.op

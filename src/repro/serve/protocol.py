@@ -263,6 +263,8 @@ def decode_line(line: bytes) -> Any:
         return json.loads(line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ProtocolError(f"request is not valid JSON: {err}")
+    except RecursionError:
+        raise ProtocolError("request nests too deeply to decode")
 
 
 def ok_response(request_id: Any = None, **fields: Any) -> Dict[str, Any]:

@@ -2,25 +2,29 @@
 
 The expensive object in BMC is the unrolled transition formula
 I(s_0) ∧ TR(s_0,s_1) ∧ ... ∧ TR(s_{k-1},s_k) — the paper's whole
-argument.  :class:`SharedUnrolling` encodes it exactly once into one
-long-lived incremental CDCL solver (one Tseitin frame per step, like
+argument.  The checker keeps it in one long-lived incremental solver, a
+:class:`~repro.bmc.frames.FrameStack` (TR encoded once, one frame
+placed per step by integer offset — the same stack behind
 :class:`repro.bmc.incremental.IncrementalBmc`), and every *property*
 rides on top as a retractable constraint:
 
-* the property's per-bound witness formula (:mod:`repro.spec.ltl`)
-  is Tseitin-encoded and attached through an assumption *group
-  literal* ``g`` via the guard clause ``(-g, witness)``;
+* a reachability-form property (``F target``: every ``Reachable`` and
+  ``Invariant``) places its target predicate once per frame and
+  disjoins the placed roots in the guard clause
+  ``(-g, t_0, ..., t_k)``; any other bounded-LTL property's per-bound
+  witness formula (:mod:`repro.spec.ltl`) is Tseitin-encoded over the
+  placed frame variables and guarded as ``(-g, witness)``;
 * solving under the single assumption ``g`` answers that property
   alone — the unrolling, every other property's encoding, and all
   surviving learnt clauses stay shared;
 * once answered, the group is retired with the unit ``-g`` and
-  physically reclaimed on the next purge — the jSAT blocking-clause
-  idiom the PR 2/3 machinery established.
+  physically reclaimed on a later purge — the jSAT blocking-clause
+  idiom.
 
 :class:`PropertyChecker` drives N named properties through one such
 unrolling (``check_all``) or up a bound ladder (``sweep``), which is
 where the multi-property speedup comes from: k transition frames are
-encoded once instead of N times.
+placed once instead of N times.
 
 With ``reduce="auto"`` the checker additionally runs each property
 through the model-reduction pipeline (:mod:`repro.reduce`) and groups
@@ -36,12 +40,9 @@ shortening, or anything downstream sees them.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..logic.cnf import CNF, VarPool
 from ..logic.expr import Expr
-from ..logic.tseitin import TseitinEncoder
-from ..sat.kernel import make_solver
 from ..sat.types import Budget, SolveResult, resolve_engine
 from ..system.model import TransitionSystem
 from ..system.trace import Trace, TraceError
@@ -52,8 +53,8 @@ from .ltl import (compile_search, loop_conditions_for, loop_input_name,
 from .property import (Property, Verdict, as_property, reachability_target,
                        search_plan, support)
 
-__all__ = ["PropertyResult", "SharedUnrolling", "PropertyChecker",
-           "normalize_properties", "OnPropertyBound"]
+__all__ = ["PropertyResult", "PropertyChecker", "normalize_properties",
+           "OnPropertyBound"]
 
 #: Observer for per-(property, bound) progress during sweeps:
 #: ``on_bound(name, bound_result)`` with a
@@ -61,8 +62,9 @@ __all__ = ["PropertyResult", "SharedUnrolling", "PropertyChecker",
 OnPropertyBound = Callable[[str, object], None]
 
 
-def _frame_name(var: str, step: int) -> str:
-    return f"{var}@{step}"
+def _frame_names(system: TransitionSystem, k: int) -> List[List[str]]:
+    """Frame variable names ``v@i`` of the state, for steps 0..k."""
+    return [[f"{v}@{i}" for v in system.state_vars] for i in range(k + 1)]
 
 
 def normalize_properties(properties) -> Dict[str, Property]:
@@ -155,177 +157,60 @@ class PropertyResult:
 
 
 # ----------------------------------------------------------------------
-class SharedUnrolling:
-    """One growing I ∧ TR^k encoding inside one incremental solver.
-
-    Frames are only ever appended; per-query constraints attach through
-    assumption groups (:meth:`activate` / :meth:`retire`), so the
-    clause database carries every frame and every surviving learnt
-    clause across all properties and bounds of the session.
-    """
-
-    def __init__(self, system: TransitionSystem,
-                 purge_interval: int = 4,
-                 solver: Optional[str] = None) -> None:
-        self.system = system
-        self.purge_interval = max(1, purge_interval)
-        self.engine = resolve_engine(solver)
-        self.pool = VarPool()
-        self.cnf = CNF()
-        self.encoder = TseitinEncoder(self.cnf, self.pool, False)
-        self.solver = make_solver(self.engine)
-        self._cursor = 0
-        self._retired_since_purge = 0
-        self.k = 0
-        frame0 = [_frame_name(v, 0) for v in system.state_vars]
-        self._frames: List[List[str]] = [frame0]
-        self.encoder.assert_expr(
-            system.rename_state_expr(system.init, frame0))
-        for name in frame0:
-            self.pool.named(name)
-        self._flush()
-
-    # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        self.solver.ensure_vars(max(self.cnf.num_vars, self.pool.num_vars))
-        new = self.cnf.clauses[self._cursor:]
-        self._cursor = len(self.cnf.clauses)
-        self.solver.add_clauses(new)
-
-    def ensure_frames(self, k: int) -> None:
-        """Grow the unrolling to k transition frames (append-only)."""
-        tracer = current_tracer()
-        while self.k < k:
-            i = self.k
-            with tracer.span("encode.frame", frame=i + 1):
-                nxt = [_frame_name(v, i + 1)
-                       for v in self.system.state_vars]
-                self._frames.append(nxt)
-                step = self.system.trans_between(self._frames[i], nxt,
-                                                 input_suffix=f"@{i}")
-                self.encoder.assert_expr(step)
-                for name in nxt:
-                    self.pool.named(name)
-                for name in self.system.input_vars:
-                    self.pool.named(_frame_name(name, i))
-                self.k += 1
-                self._flush()
-
-    def frames_upto(self, k: int) -> List[List[str]]:
-        """Frame variable names for steps 0..k (frames grown on demand)."""
-        self.ensure_frames(k)
-        return self._frames[:k + 1]
-
-    # ------------------------------------------------------------------
-    def activate(self, constraint: Expr) -> int:
-        """Attach a retractable constraint; returns its group literal.
-
-        The Tseitin definitions are asserted unconditionally (they
-        never constrain the original variables); only the top literal
-        is guarded, so the constraint bites exactly while its group is
-        assumed.
-        """
-        lit = self.encoder.encode(constraint)
-        self._flush()
-        group = self.pool.fresh("spec-group")
-        self.solver.ensure_vars(self.pool.num_vars)
-        self.solver.add_clause([-group, lit])
-        return group
-
-    def retire(self, group: int) -> None:
-        """Permanently disable a group (jSAT-style retirement)."""
-        self.solver.add_clause([-group])
-        self._retired_since_purge += 1
-        if self._retired_since_purge >= self.purge_interval:
-            self.solver.purge_satisfied()
-            self._retired_since_purge = 0
-
-    def solve(self, assumptions: Sequence[int],
-              budget: Budget | None = None) -> SolveResult:
-        """Solve the unrolling under the given assumption literals."""
-        return self.solver.solve(list(assumptions), budget=budget)
-
-    # ------------------------------------------------------------------
-    def extract_trace(self, k: int) -> Trace:
-        """The length-k path of the last SAT model."""
-        model_value = self.solver.model_value
-        states = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.state_vars}
-            for i in range(k + 1)]
-        inputs = [
-            {v: bool(model_value(self.pool.named(_frame_name(v, i))))
-             for v in self.system.input_vars}
-            for i in range(k)]
-        return Trace(states, inputs)
-
-    def extract_loop_inputs(self) -> Dict[str, bool]:
-        """Input valuation of the lasso back-edge in the last model."""
-        model_value = self.solver.model_value
-        return {v: bool(model_value(self.pool.named(loop_input_name(v))))
-                for v in self.system.input_vars}
-
-    def resident_literals(self) -> int:
-        """Clause-database literals currently resident in the solver."""
-        return self.solver.stats.db_literals
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"SharedUnrolling({self.system.name!r}, frames={self.k}, "
-                f"clauses={self.solver.num_clauses()})")
-
-
-# ----------------------------------------------------------------------
 class _Cone:
-    """One reduced cone and its unrollings, shared by every property
+    """One reduced cone and its frame stack, shared by every property
     whose reduction produced the same cone key.
 
     Owns the :class:`~repro.reduce.ReducedSystem` (identity when
-    reduction is off or inert) plus the cone's main and auxiliary
-    low-bound :class:`SharedUnrolling` instances — the two-driver
-    policy of ``IncrementalBmc.check_bound``, kept per cone.
+    reduction is off or inert), the cone's
+    :class:`~repro.bmc.frames.FrameStack` (created on first use; bounds
+    below its frames go to its low stack, see ``driver_for``) and one
+    predicate template per reachability target.
     """
 
-    def __init__(self, reduction, purge_interval: int,
-                 solver: Optional[str] = None) -> None:
+    def __init__(self, reduction, solver: Optional[str] = None) -> None:
         self.reduction = reduction
         self.system: TransitionSystem = reduction.system
-        self.purge_interval = purge_interval
         self.engine = resolve_engine(solver)
-        self._shared: Optional[SharedUnrolling] = None
-        self._low: Optional[SharedUnrolling] = None
+        self._stack = None
+        self._targets: Dict[Expr, object] = {}
+        self._loops: Tuple[int, List[Expr]] = (-1, [])
 
-    def unrolling_for(self, k: int) -> SharedUnrolling:
-        """The cone's shared unrolling, or the auxiliary low one.
+    @property
+    def stack(self):
+        """The cone's frame stack (TR encoded once per cone)."""
+        if self._stack is None:
+            # Deferred: repro.bmc imports this module.
+            from ..bmc.frames import FrameStack, FrameTemplate
+            self._stack = FrameStack(FrameTemplate(self.system),
+                                     self.engine)
+        return self._stack
 
-        Frames beyond the queried bound are asserted unconditionally,
-        which for a non-total TR could exclude witnesses whose final
-        state has no successor — so a query *below* the frames already
-        encoded is answered by a second, lower unrolling that itself
-        only ever grows (the ``IncrementalBmc.check_bound`` policy:
-        the cone stays bounded at two encodings, a monotone re-sweep
-        reuses the low driver ascending until it rejoins the shared
-        one, and only a strictly descending probe pays a rebuild).
-        """
-        if self._shared is None:
-            self._shared = SharedUnrolling(self.system,
-                                           self.purge_interval,
-                                           solver=self.engine)
-        if k < self._shared.k:
-            low = self._low
-            if low is None or k < low.k:
-                low = SharedUnrolling(self.system, self.purge_interval,
-                                      solver=self.engine)
-                self._low = low
-            return low
-        return self._shared
+    def target(self, predicate: Expr):
+        """The predicate's template over the cone's Z (encoded once)."""
+        tpl = self._targets.get(predicate)
+        if tpl is None:
+            from ..bmc.frames import predicate_template
+            tpl = predicate_template(self.system, predicate)
+            self._targets[predicate] = tpl
+        return tpl
+
+    def loops(self, k: int) -> List[Expr]:
+        """The lasso back-edge constraints L_0..L_k at bound k
+        (:func:`~repro.spec.ltl.loop_conditions_for`), kept for the last
+        bound asked: every property queried at one bound shares them."""
+        if self._loops[0] != k:
+            self._loops = (k, loop_conditions_for(
+                self.system, _frame_names(self.system, k)))
+        return self._loops[1]
 
     def close(self) -> None:
-        self._shared = None
-        self._low = None
+        self._stack = None
+        self._loops = (-1, [])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"_Cone({self.system.name!r}, frames=" \
-               f"{self._shared.k if self._shared else 0})"
+               f"{self._stack.k if self._stack else 0})"
 
 
 class PropertyChecker:
@@ -377,7 +262,6 @@ class PropertyChecker:
 
     def __init__(self, system: TransitionSystem,
                  properties: Optional[Mapping[str, Property]] = None,
-                 purge_interval: int = 4,
                  validate: Optional[bool] = None,
                  reduce: object = "off",
                  prover: Optional[str] = None,
@@ -394,7 +278,6 @@ class PropertyChecker:
                     f"(k-induction / interpolation / diameter)")
         self.system = system
         self.properties = normalize_properties(properties)
-        self.purge_interval = purge_interval
         self.validate = __debug__ if validate is None else validate
         self.pipeline = resolve_reduce(reduce)
         self.prover = prover
@@ -468,8 +351,7 @@ class PropertyChecker:
             key = reduction.cone_key()
             cone = self._cones.get(key)
             if cone is None:
-                cone = _Cone(reduction, self.purge_interval,
-                             solver=self.engine)
+                cone = _Cone(reduction, solver=self.engine)
                 self._cones[key] = cone
             self._assignments[name] = cone
             self._mapped[name] = cone.reduction.map_property(prop)
@@ -674,22 +556,33 @@ class PropertyChecker:
             if result is not None:
                 return result
         formula, universal = search_plan(mapped)
-        unrolling = cone.unrolling_for(k)
-        frames = unrolling.frames_upto(k)
-        loops = None
-        if needs_loop_closure(formula):
-            loops = loop_conditions_for(system, frames)
-        witness_expr = compile_search(formula, system, frames, loops)
-        solver = unrolling.solver
+        stack = cone.stack.driver_for(k)
+        stack.ensure_frames(k)
+        solver = stack.solver
         before = (solver.stats.conflicts, solver.stats.decisions,
                   solver.stats.propagations)
-        group = unrolling.activate(witness_expr)
-        status = unrolling.solve([group], budget=budget)
+        loops = None
+        target = reachability_target(mapped)
+        if target is not None:
+            # F target: one placed predicate per frame, disjoined in
+            # the guard clause itself.
+            tpl = cone.target(target)
+            lits = [stack.root(tpl, i) for i in range(k + 1)]
+        else:
+            if needs_loop_closure(formula):
+                loops = cone.loops(k)
+            lits = [stack.encode(compile_search(
+                formula, system, _frame_names(system, k), loops))]
+        group = stack.activate(name, *lits)
+        status = solver.solve([group], budget=budget)
         trace = None
         if status is SolveResult.SAT:
-            trace = unrolling.extract_trace(k)
-            loop_inputs = (unrolling.extract_loop_inputs()
-                           if loops is not None else None)
+            bits = solver.model_bits()
+            trace = stack.trace(k, bits)
+            loop_inputs = None
+            if loops is not None:
+                loop_inputs = dict(zip(system.input_vars, stack.named_bits(
+                    [loop_input_name(v) for v in system.input_vars], bits)))
             if self.validate:
                 # The bounded path semantics (lasso back-edge included)
                 # hold over the cone the witness was found in ...
@@ -703,10 +596,9 @@ class PropertyChecker:
             target = reachability_target(prop)
             if target is not None:
                 trace = trace.shorten_to(target)
-        unrolling.retire(group)
+        stack.retire(name)
         stats = {
-            "trans_frames": unrolling.k,
-            "witness_size": witness_expr.size(),
+            "trans_frames": stack.k,
             "loop_closure": int(loops is not None),
             "vars": solver.num_vars,
             "clauses": solver.num_clauses(),

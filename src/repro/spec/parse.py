@@ -40,7 +40,7 @@ True
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..logic import expr as ex
 from .property import (Atom, Finally, Globally, Invariant, Next, Not,
@@ -63,6 +63,10 @@ _TOKEN = re.compile(r"""
 # never a trailing one, so an unspaced "a->b" tokenizes as a, ->, b.
 
 _TEMPORAL = {"G", "F", "X", "AG", "EF"}
+#: Deepest nesting of parentheses, prefix operators and right-associative
+#: chains a spec may use; deeper input is rejected with a SpecError
+#: instead of exhausting the interpreter stack.
+MAX_NESTING = 100
 _RESERVED = _TEMPORAL | {"U", "R", "TRUE", "FALSE", "xor"}
 
 
@@ -88,9 +92,19 @@ class _Parser:
     def __init__(self, tokens: List[str]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def deeper(self, parse: Callable[[], Property]) -> Property:
+        """Run a nested sub-parse, bounded by :data:`MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SpecError(f"spec nests deeper than {MAX_NESTING} levels")
+        out = parse()
+        self.depth -= 1
+        return out
 
     def take(self, expected: Optional[str] = None) -> str:
         tok = self.peek()
@@ -119,7 +133,7 @@ class _Parser:
         left = self._or(top=top)
         if self.peek() == "->":
             self.take()
-            return mk_implies_prop(left, self._implies())
+            return mk_implies_prop(left, self.deeper(self._implies))
         return left
 
     def _or(self, *, top: bool = False) -> Property:
@@ -155,7 +169,7 @@ class _Parser:
         tok = self.peek()
         if tok in ("U", "R"):
             self.take()
-            right = self._until()
+            right = self.deeper(self._until)
             return Until(left, right) if tok == "U" \
                 else Release(left, right)
         return left
@@ -164,13 +178,13 @@ class _Parser:
         tok = self.peek()
         if tok == "!":
             self.take()
-            inner = self._unary()
+            inner = self.deeper(self._unary)
             if isinstance(inner, Atom):
                 return Atom(ex.mk_not(inner.expr))
             return Not(inner)
         if tok in ("G", "F", "X"):
             self.take()
-            inner = self._unary()
+            inner = self.deeper(self._unary)
             return {"G": Globally, "F": Finally, "X": Next}[tok](inner)
         if tok in ("AG", "EF"):
             self.take()
@@ -178,7 +192,7 @@ class _Parser:
                 raise SpecError(
                     f"{tok} is a top-level form and cannot be nested; "
                     f"use {'G' if tok == 'AG' else 'F'} inside formulas")
-            inner = self._unary()
+            inner = self.deeper(self._unary)
             if not isinstance(inner, Atom):
                 raise SpecError(
                     f"{tok} takes a plain state predicate; for temporal "
@@ -186,7 +200,7 @@ class _Parser:
             return Invariant(inner) if tok == "AG" else Reachable(inner)
         if tok == "(":
             self.take()
-            inner = self._iff(top=top)
+            inner = self.deeper(lambda: self._iff(top=top))
             self.take(")")
             return inner
         if tok == "TRUE":
@@ -195,7 +209,9 @@ class _Parser:
         if tok == "FALSE":
             self.take()
             return Atom(ex.FALSE)
-        if tok is None or not re.match(r"[A-Za-z_]", tok):
+        if tok is None:
+            raise SpecError("unexpected end of spec")
+        if not re.match(r"[A-Za-z_]", tok):
             raise SpecError(f"unexpected token {tok!r}")
         if tok in _RESERVED:
             raise SpecError(f"{tok!r} cannot be used as a variable name")

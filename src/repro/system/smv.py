@@ -39,7 +39,7 @@ unrolling.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..logic import expr as ex
 from ..logic.expr import Expr
@@ -78,6 +78,12 @@ def _tokenize(text: str) -> List[str]:
     return out
 
 
+#: Deepest nesting of parentheses, negations and ``->`` chains an
+#: expression may use; deeper input is rejected with an SmvError instead
+#: of exhausting the interpreter stack.
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive-descent parser over a token window."""
 
@@ -87,6 +93,17 @@ class _ExprParser:
         self.pos = 0
         self.defines = defines
         self.declared = declared
+        self.depth = 0
+
+    def deeper(self, parse: Callable[[], Expr]) -> Expr:
+        """Run a nested sub-parse, bounded by :data:`MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SmvError(
+                f"expression nests deeper than {MAX_NESTING} levels")
+        out = parse()
+        self.depth -= 1
+        return out
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -117,7 +134,8 @@ class _ExprParser:
         left = self._or()
         if self.peek() == "->":
             self.take()
-            return ex.mk_implies(left, self._implies())   # right-assoc
+            return ex.mk_implies(left,                  # right-assoc
+                                 self.deeper(self._implies))
         return left
 
     def _or(self) -> Expr:
@@ -145,10 +163,10 @@ class _ExprParser:
         tok = self.peek()
         if tok == "!":
             self.take()
-            return ex.mk_not(self._unary())
+            return ex.mk_not(self.deeper(self._unary))
         if tok == "(":
             self.take()
-            inner = self._iff()
+            inner = self.deeper(self._iff)
             self.take(")")
             return inner
         if tok == "TRUE":

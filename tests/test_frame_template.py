@@ -219,6 +219,62 @@ def test_numbering_is_deterministic():
     assert digests["fresh"] and digests["fresh"] == digests["busy"]
 
 
+_CHECKER_PROBE = """
+import hashlib, sys
+from repro.bmc.incremental import IncrementalBmc
+from repro.bmc.unroll import encode_unrolled
+from repro.logic import expr as ex
+from repro.models import fifo, mixer
+from repro.models.suite import default_property_bundle
+from repro.spec import PropertyChecker, reachability_target
+system, final, depth = fifo.make(3)
+if sys.argv[1] == "busy":
+    # The unrelated work of _NUMBERING_PROBE, plus another checker.
+    for name in reversed(system.state_vars + system.input_vars):
+        for i in reversed(range(depth + 2)):
+            ex.var(f"{name}@{i}")
+    other, other_final, _ = mixer.make(6, 3)
+    encode_unrolled(other, other_final, 4)
+    IncrementalBmc(other, other_final).sweep(3)
+    PropertyChecker(other, default_property_bundle(other_final),
+                    sim_tier=False).sweep(3)
+bundle = default_property_bundle(final, ex.var(system.state_vars[0]))
+reach = sys.argv[2] == "reachability"
+props = {name: prop for name, prop in bundle.items()
+         if (reachability_target(prop) is not None) == reach}
+rows = []
+for mode in ("off", "auto"):
+    checker = PropertyChecker(system, props, sim_tier=False, reduce=mode)
+    for out in (checker.sweep(depth + 1), checker.check_all(depth + 2)):
+        rows.append(sorted((name, r.verdict.name, r.k,
+                            sorted(r.stats.items()))
+                           for name, r in out.items()))
+print(hashlib.sha256(repr(rows).encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("kind", [
+    "reachability",
+    pytest.param("bounded-ltl", marks=pytest.mark.xfail(
+        strict=True, reason="general bounded-LTL witness formulas are "
+        "Tseitin-encoded from Expr DAGs whose arguments are ordered by "
+        "uid, so their auxiliary numbering follows Expr history")),
+])
+def test_checker_numbering_is_deterministic(kind):
+    # PropertyChecker's cones place TR and every reachability target
+    # from templates: the solver sees the same clauses, so the verdicts
+    # and every search stat (vars, clauses, conflicts, ...) repeat.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    digests = {
+        history: subprocess.run(
+            [sys.executable, "-c", _CHECKER_PROBE, history, kind],
+            env=env, check=True, capture_output=True, text=True,
+            timeout=120).stdout
+        for history in ("fresh", "busy")}
+    assert digests["fresh"] and digests["fresh"] == digests["busy"]
+
+
 def test_cnf_view_matches_bulk_load():
     system, final, depth = counter.make(3, 5)
     enc = encode_unrolled(system, final, depth)

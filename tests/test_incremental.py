@@ -10,6 +10,7 @@ import pytest
 
 from repro.bmc import IncrementalBmc, check_reachability, sweep
 from repro.bmc.engine import METHODS
+from repro.bmc.frames import PURGE_INTERVAL
 from repro.bmc.incremental import SweepBudget
 from repro.bmc.jsat import JsatSolver
 from repro.models import counter, gray, mutex, shift_register
@@ -57,17 +58,17 @@ class TestIncrementalBmc:
         inc = IncrementalBmc(system, final)
         inc.check_bound(depth)
         inc.check_bound(depth - 2)
-        low = inc._low
-        assert low is not None and low._low is None
+        low = inc.stack.low
+        assert low is not None and low.low is None
         # Ascending within the low range grows the same driver.
         status, _, stats = inc.check_bound(depth - 1)
-        assert inc._low is low and low._low is None
+        assert inc.stack.low is low and low.low is None
         assert status is SolveResult.UNSAT
         assert stats["clauses_reused"] > 0
         # Below the low driver's frames: replaced, never chained.
         inc.check_bound(depth - 3)
-        assert inc._low is not low
-        assert inc._low._low is None
+        assert inc.stack.low is not low
+        assert inc.stack.low.low is None
 
     def test_retire_bound_reaches_low_driver(self):
         """Regression: after check_bound(3), check_bound(5),
@@ -79,10 +80,10 @@ class TestIncrementalBmc:
         inc.check_bound(3)
         inc.check_bound(5)
         inc.check_bound(3)
-        assert 3 in inc._groups and 3 in inc._low._groups
+        assert 3 in inc.stack.groups and 3 in inc.stack.low.groups
         inc.retire_bound(3)
-        assert 3 not in inc._groups
-        assert 3 not in inc._low._groups
+        assert 3 not in inc.stack.groups
+        assert 3 not in inc.stack.low.groups
 
     def test_sweep_after_deep_check_reuses_one_low_driver(self):
         """A sweep below the frames already encoded must reuse ONE
@@ -94,13 +95,13 @@ class TestIncrementalBmc:
         assert inc.k == depth + 2
         swept = inc.sweep(depth + 1)
         assert swept.shortest_k == depth
-        low = inc._low
+        low = inc.stack.low
         assert low is not None
         reused = [b.stats["clauses_reused"] for b in swept.per_bound]
         assert reused[0] < reused[-1]       # one growing driver
         # Every refuted bound was retired on the low driver; only the
         # SAT bound's final-constraint group may remain live.
-        assert len(low._groups) <= 1
+        assert len(low.groups) <= 1
 
     def test_clauses_carry_over_between_bounds(self):
         system, final, depth = shift_register.make(6)
@@ -125,10 +126,15 @@ class TestIncrementalBmc:
 
     def test_retired_groups_are_reclaimed(self):
         system, final, _ = mutex.make_exclusion_check()
-        inc = IncrementalBmc(system, final, purge_interval=1)
-        inc.check_bound(2)
+        inc = IncrementalBmc(system, final)
+        # Retirements are purged in batches of PURGE_INTERVAL: check
+        # that many bounds, then retire them all.
+        bounds = range(2, 2 + PURGE_INTERVAL)
+        for k in bounds:
+            inc.check_bound(k)
         before = inc.solver.num_clauses()
-        inc.retire_bound(2)
+        for k in bounds:
+            inc.retire_bound(k)
         # The final constraint (and anything derived from it) is
         # physically gone; the transition frames remain.
         assert inc.solver.num_clauses() < before

@@ -26,7 +26,7 @@ from repro.bmc.induction import prove_by_induction
 from repro.bmc.interpolation import prove_by_interpolation
 from repro.bmc.provers import validate_invariant
 from repro.logic import expr as ex
-from repro.models import build_suite
+from repro.models import build_suite, counter
 from repro.portfolio import race
 from repro.sat import Budget, SolveResult
 from repro.spec import Invariant, PropertyChecker, Verdict
@@ -225,6 +225,22 @@ class TestDifferentialSuite:
                 backend.close()
             hits += result.status is SolveResult.SAT
         assert hits == len(reachable)
+
+
+class TestStepCaseReclaims:
+    def test_retired_bad_successor_groups_are_purged(self):
+        # counter(4, 9): the step case stays SAT (not yet inductive) on
+        # rungs 0..8 and the base case hits at 9, so the step stack
+        # retires nine bad-successor groups — more than PURGE_INTERVAL.
+        system, final, depth = counter.make(4, 9)
+        backend = create_backend("k-induction", system, final)
+        try:
+            result = backend.check(depth, semantics="within")
+            assert result.status is SolveResult.SAT
+            assert result.stats["induction_rungs"] == depth + 1
+            assert backend.step.solver.stats.purged > 0
+        finally:
+            backend.close()
 
 
 class TestDifferentialRandom:

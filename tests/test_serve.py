@@ -230,6 +230,16 @@ class TestDaemonBasics:
             # Daemon survives bad requests.
             assert c.ping()["pong"] is True
 
+    def test_deeply_nested_line_gets_error_reply(self, served):
+        # 1000-deep JSON arrays used to raise RecursionError in the
+        # decoder: no reply, and the daemon dropped the connection.
+        with ServeClient(socket_path=served.socket) as c:
+            c._sock.sendall(b"[" * 1000 + b"]" * 1000 + b"\n")
+            reply = c._recv()
+            assert reply["ok"] is False
+            assert "nests too deeply" in reply["error"]
+            assert c.ping()["pong"] is True
+
     def test_status_and_stats(self, served):
         with ServeClient(socket_path=served.socket) as c:
             ack = c.submit("counter", k=9, method="jsat")

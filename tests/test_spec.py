@@ -129,6 +129,29 @@ class TestSpecParser:
         with pytest.raises(SpecError, match="variable name"):
             parse_spec("U")
 
+    def test_truncated_spec_reports_end_of_spec(self):
+        with pytest.raises(SpecError, match="unexpected end of spec"):
+            parse_spec("AG !((")
+
+    @pytest.mark.parametrize("text", [
+        "AG !(" + "(" * 200 + "c0" + ")" * 200 + ")",
+        "G " * 1000 + "c0",
+        "c0 -> " * 2000 + "c0",
+        "c0 U " * 2000 + "c0",
+    ], ids=["parentheses", "prefix", "implies-chain", "until-chain"])
+    def test_deep_nesting_is_a_spec_error(self, text):
+        with pytest.raises(SpecError, match="nests deeper"):
+            parse_spec(text)
+
+    def test_nesting_below_the_limit_parses(self):
+        assert parse_spec("(" * 50 + "!c0" + ")" * 50) == parse_spec("!c0")
+
+    def test_deep_nesting_through_the_cli(self, capsys):
+        from repro.cli import main
+        spec = "AG !(" + "(" * 200 + "c0" + ")" * 200 + ")"
+        assert main(["check", "counter", "--spec", spec, "-k", "2"]) == 1
+        assert "nests deeper" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 class TestFrontends:
@@ -385,17 +408,17 @@ class TestReviewRegressions:
         checker = PropertyChecker(system, {"hit": Reachable(final)},
                                   sim_tier=False)
         cone = checker._cone_for("hit")
-        shared = cone.unrolling_for(0)
+        shared = cone.stack
         checker.check_all(depth + 2)               # shared grows deep
         # A sweep below the shared frames rides ONE auxiliary low
         # driver (not a throwaway per bound), and keeps it afterwards.
         first = checker.sweep(depth)["hit"]
-        low = cone._low
+        low = shared.low
         assert low is not None and low.k == depth
-        assert cone.unrolling_for(depth + 2) is shared
+        assert shared.driver_for(depth + 2) is shared
         # Follow-up monotone queries below the shared frames reuse the
         # kept low encoding instead of rebuilding.
         again = checker.check_all(depth)["hit"]
-        assert cone._low is low
+        assert shared.low is low
         assert first.verdict is again.verdict is Verdict.HOLDS
         assert first.k == depth

@@ -143,6 +143,21 @@ class TestErrors:
         message = rep.errors[str(tmp_path / "stray.smv")]
         assert "undeclared identifier 'zz'" in message
 
+    def test_deeply_nested_smv_recorded_not_fatal(self, tmp_path):
+        # 250-deep parentheses used to exhaust the parser's stack and
+        # abort the whole corpus with a RecursionError.
+        (tmp_path / "ok.aag").write_text(
+            (CORPUS / "toggle.aag").read_text())
+        deep = "(" * 250 + "!a" + ")" * 250
+        (tmp_path / "deep.smv").write_text(
+            "MODULE main\nVAR a : boolean;\n"
+            f"ASSIGN init(a) := FALSE; next(a) := {deep};\n")
+        rep = ingest(tmp_path, strict=False)
+        assert len(rep.entries) == 1
+        assert len(rep.errors) == 1
+        message = rep.errors[str(tmp_path / "deep.smv")]
+        assert "nests deeper" in message
+
     def test_strict_raises(self, tmp_path):
         (tmp_path / "broken.aag").write_text("aag 1 1 1\n")
         with pytest.raises(CorpusError):
