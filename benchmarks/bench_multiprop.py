@@ -18,9 +18,16 @@ Verdicts must agree property-for-property, and every certificate is
 re-validated (debug mode replays witnesses against the system and the
 bounded path semantics).
 
+Timing: after a warm-up pass, PAIRS interleaved (shared, sequential)
+pairs run back to back, alternating which side goes first so drift in
+machine speed hits both sides alike.  Every pair is printed; the guard
+is on the median of the per-pair ratios, which one slow pass cannot
+swing the way it swings a single best-of-N ratio.
+
 Run:  PYTHONPATH=src python benchmarks/bench_multiprop.py
 """
 
+import statistics
 import time
 
 from repro.harness.report import format_table
@@ -28,7 +35,7 @@ from repro.harness.runner import run_property_matrix
 from repro.models import build_property_suite
 
 REQUIRED_SPEEDUP = 1.5
-REPEATS = 3
+PAIRS = 7
 
 
 def _run(shared: bool):
@@ -44,14 +51,20 @@ def main() -> None:
     print(f"multi-property suite: {len(instances)} instances, "
           f"{n_props} (instance, property) cells\n")
 
-    # Warm-up (intern caches, imports), then best-of-N to de-noise.
+    # Warm-up (intern caches, imports), then interleaved pairs.
     _run(shared=True)
-    shared_s = sequential_s = float("inf")
-    for _ in range(REPEATS):
-        shared_cells, s = _run(shared=True)
-        shared_s = min(shared_s, s)
-        sequential_cells, s = _run(shared=False)
-        sequential_s = min(sequential_s, s)
+    ratios = []
+    for pair in range(PAIRS):
+        order = (True, False) if pair % 2 == 0 else (False, True)
+        timed = {shared: _run(shared=shared) for shared in order}
+        shared_cells, shared_s = timed[True]
+        sequential_cells, sequential_s = timed[False]
+        ratios.append(sequential_s / shared_s)
+        first = "shared" if order[0] else "sequential"
+        print(f"pair {pair + 1} ({first} first): sequential "
+              f"{sequential_s * 1e3:.1f} ms, shared {shared_s * 1e3:.1f} ms"
+              f" -> {ratios[-1]:.2f}x")
+    print()
 
     # Verdict agreement, cell for cell.
     by_key_shared = {(c.instance.name, c.property_name): c.verdict
@@ -75,10 +88,10 @@ def main() -> None:
     print(format_table(
         ["instance", "sequential ms", "shared ms", "speedup"], rows))
 
-    speedup = sequential_s / shared_s
-    print(f"\ntotal: sequential {sequential_s * 1e3:.1f} ms, "
-          f"shared {shared_s * 1e3:.1f} ms -> {speedup:.2f}x "
-          f"(required >= {REQUIRED_SPEEDUP}x)")
+    speedup = statistics.median(ratios)
+    print(f"\nmedian paired speedup over {PAIRS} pairs: {speedup:.2f}x "
+          f"(range {min(ratios):.2f}-{max(ratios):.2f}x; "
+          f"required >= {REQUIRED_SPEEDUP}x)")
     assert speedup >= REQUIRED_SPEEDUP, (
         f"shared-unrolling multi-property speedup regressed: "
         f"{speedup:.2f}x < {REQUIRED_SPEEDUP}x")

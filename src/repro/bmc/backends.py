@@ -279,7 +279,6 @@ class QbfSquaringBackend(Backend):
 class JsatOptions(BackendOptions):
     use_cache: bool = True
     f_pruning: bool = True
-    purge_interval: int = 8
 
 
 @register_backend("jsat")
@@ -306,7 +305,6 @@ class JsatBackend(Backend):
                 self.system, self.final, 0, semantics,
                 use_cache=self.options.use_cache,
                 f_pruning=self.options.f_pruning,
-                purge_interval=self.options.purge_interval,
                 solver=self.options.solver)
             self._solvers[semantics] = solver
         return solver

@@ -27,10 +27,11 @@ The window is realized on top of the incremental CDCL solver
   state.
 * Backtracking adds a *blocking clause* over the V bits inside a
   per-frame activation group; popping a frame retires the group with a
-  unit clause and the solver physically reclaims every clause of the
-  group (including learnt clauses derived from it) — the resident
-  formula stays at one TR copy plus the frames' state vectors, which is
-  the space bound in the paper's title.
+  unit clause and, every :data:`PURGE_INTERVAL` pops, the solver
+  physically reclaims every clause of the retired groups (including
+  learnt clauses derived from them) — the resident formula stays at
+  one TR copy plus the frames' state vectors, which is the space bound
+  in the paper's title.
 * A *no-good cache* remembers states shown to admit no completion with
   ``r`` steps remaining; keyed by ``r`` in exact mode because a state
   that is hopeless at distance r may still reach F at a different
@@ -55,9 +56,13 @@ from ..sat.types import Budget, BudgetExceeded, SolveResult, resolve_engine
 from ..system.model import TransitionSystem
 from ..system.trace import Trace
 
-__all__ = ["JsatSolver", "JsatStats"]
+__all__ = ["JsatSolver", "JsatStats", "PURGE_INTERVAL"]
 
 State = Tuple[bool, ...]
+
+#: Retired clause groups are physically reclaimed every this many pops
+#: (1 = immediately; larger trades memory for time).
+PURGE_INTERVAL = 8
 
 
 class JsatStats:
@@ -108,9 +113,6 @@ class JsatSolver:
     f_pruning:
         Constrain the final window query with F(V) instead of testing F
         after the fact.
-    purge_interval:
-        Retired clause groups are physically reclaimed every this many
-        pops (1 = immediately; larger trades memory for time).
     solver:
         SAT engine for the window queries: ``"kernel"`` or
         ``"reference"`` (None defers to the process default).  Group
@@ -122,7 +124,6 @@ class JsatSolver:
                  semantics: str = "exact",
                  use_cache: bool = True,
                  f_pruning: bool = True,
-                 purge_interval: int = 8,
                  solver: Optional[str] = None) -> None:
         if k < 0:
             raise ValueError("bound k must be non-negative")
@@ -137,7 +138,6 @@ class JsatSolver:
         self.semantics = semantics
         self.use_cache = use_cache
         self.f_pruning = f_pruning
-        self.purge_interval = max(1, purge_interval)
         self.engine = resolve_engine(solver)
         self.stats = JsatStats()
         self._trace: Optional[Trace] = None
@@ -443,7 +443,7 @@ class JsatSolver:
             frames.pop()
             self.stats.pops += 1
             pops_since_purge += 1
-            if pops_since_purge >= self.purge_interval:
+            if pops_since_purge >= PURGE_INTERVAL:
                 self.solver.purge_satisfied()
                 pops_since_purge = 0
             if frames:

@@ -42,6 +42,7 @@ Subcommands
     its capabilities and typed options.  Custom backends registered
     via :func:`repro.bmc.register_backend` appear here — and are
     accepted by ``bmc``/``sweep``/``batch`` — without any CLI edit.
+    The last line names the SAT engine this process solves with.
 ``reduce FAMILY``
     Report the model-reduction pipeline's effect on a family's
     multi-property instance: latches / inputs / TR size before→after
@@ -82,7 +83,7 @@ from .models import FAMILIES, build_suite, suite_summary
 from .qbf.expansion import ExpansionSolver
 from .qbf.pcnf import PCNF
 from .qbf.qdpll import QdpllSolver
-from .sat.kernel import make_solver
+from .sat.kernel import engine_provenance, make_solver
 from .sat.types import SAT_ENGINE_ENV, SAT_ENGINES, Budget, SolveResult
 from .telemetry import (MetricsRegistry, Tracer, set_metrics, set_tracer,
                         write_chrome_trace)
@@ -484,6 +485,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
             for f in dataclasses.fields(cls.options_class)) or "-"
         print(f"{name:16s} {kind:10s} {incremental:11s} "
               f"{semantics:14s} {proves:7s} {opts}")
+    print(f"sat engine: {engine_provenance()}")
     return 0
 
 

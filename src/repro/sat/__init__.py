@@ -1,16 +1,18 @@
 """SAT solving: CDCL engines, DPLL reference, proofs, interpolation.
 
-Two CDCL engines share one public surface: the array-based
-:class:`KernelSolver` (``solver="kernel"``, with a compiled C core
-when a system compiler is available) and the pure-Python
+Two CDCL engines share one public surface: :class:`KernelSolver`
+(``solver="kernel"``), the compiled C core, and the pure-Python
 :class:`CdclSolver` reference (``solver="reference"``) it is
-differentially pinned against.  :func:`make_solver` picks one; the
-process default comes from the ``REPRO_SAT_KERNEL`` environment
-variable via :func:`resolve_engine`.
+differentially pinned against.  The reference is also the readable
+specification, the only engine that logs resolution/DRAT proofs, and
+the fallback when no C compiler is available.  :func:`make_solver` is
+the one place that picks an engine; the process default comes from
+the ``REPRO_SAT_KERNEL`` environment variable via
+:func:`resolve_engine`.
 """
 
 from .dpll import DpllSolver, brute_force_models, brute_force_sat
-from .kernel import KernelSolver, make_solver
+from .kernel import CompiledCoreUnavailable, KernelSolver, make_solver
 from .proof import DratProof, ProofError, ResolutionProof
 from .solver import CdclSolver, SolverStats
 from .types import (DEFAULT_SAT_ENGINE, SAT_ENGINE_ENV, SAT_ENGINES, Budget,
@@ -19,6 +21,7 @@ from .types import (DEFAULT_SAT_ENGINE, SAT_ENGINE_ENV, SAT_ENGINES, Budget,
 __all__ = [
     "CdclSolver",
     "KernelSolver",
+    "CompiledCoreUnavailable",
     "make_solver",
     "resolve_engine",
     "SAT_ENGINES",

@@ -1,13 +1,13 @@
 /* Array-based CDCL core, compiled at first use via the system C
  * compiler (see ckernel.py) and driven through ctypes.
  *
- * This is the proof-free fast path of the "kernel" SAT engine: the
- * Python KernelSolver delegates here whenever no resolution proof is
- * being logged.  The layout mirrors the Python array kernel — flat
- * uint32 clause arena ([header, lbd, lits...]), watcher lists with
- * blocker literals compacted in place, an indexed max-heap over EVSIDS
- * activities, phase saving, Knuth reluctant-doubling restarts, and
- * LBD-based learnt-clause reduction with arena compaction.
+ * This is the "kernel" SAT engine; the Python KernelSolver is a thin
+ * shim over it.  It logs no proofs (proof-logged solves run on the
+ * reference solver).  Layout: a flat uint32 clause arena ([header,
+ * lbd, lits...]), watcher lists with blocker literals compacted in
+ * place, an indexed max-heap over EVSIDS activities, phase saving,
+ * Knuth reluctant-doubling restarts, and LBD-based learnt-clause
+ * reduction with arena compaction.
  *
  * Literal encoding is MiniSat-internal: var v -> 2v (positive),
  * 2v + 1 (negative); lit ^ 1 negates, lit >> 1 recovers the var.

@@ -5,12 +5,11 @@ with whatever system C compiler is available (``$CC``, ``cc``,
 ``gcc``, ``clang``), into a content-addressed shared object under the
 user cache directory.  Loading is lazy and failure-tolerant: if no
 compiler is present or the build fails, :func:`load_core` returns None
-and the kernel engine transparently falls back to its pure-Python
-array implementation — same results, just slower.
+and :func:`repro.sat.kernel.make_solver` hands out the pure-Python
+reference solver instead — same results, just slower;
+``repro backends`` names the engine in use.
 
-Set ``REPRO_SAT_CC=off`` to force the fallback (used by the
-differential tests to pin both implementations against the reference
-solver), or ``REPRO_SAT_CC_DEBUG=1`` to surface build errors.
+Set ``REPRO_SAT_CC_DEBUG=1`` to surface build errors.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ import sys
 import tempfile
 from typing import Optional
 
-__all__ = ["load_core", "compiled_available", "CORE_ENV"]
-
-#: Environment switch for the compiled core ("off"/"0" disables it).
-CORE_ENV = "REPRO_SAT_CC"
+__all__ = ["load_core", "compiled_available"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "ckernel.c")
@@ -136,14 +132,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 def load_core() -> Optional[ctypes.CDLL]:
     """The compiled core library, building it on first use.
 
-    Returns None when disabled (``REPRO_SAT_CC=off``), when no C
-    compiler is available, or when the build/load fails; the result is
-    cached for the life of the process.
+    Returns None when no C compiler is available or the build/load
+    fails; the result is cached for the life of the process.
     """
     global _lib, _tried
-    if os.environ.get(CORE_ENV, "").strip().lower() in (
-            "off", "0", "false", "no", "py", "python"):
-        return None
     if _tried:
         return _lib
     _tried = True

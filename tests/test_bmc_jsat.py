@@ -111,10 +111,11 @@ class TestSpaceBehaviour:
 
     def test_purge_bounds_resident_size(self):
         system, final, depth = counter.make(5, 19)
-        solver = JsatSolver(system, final, depth, purge_interval=1)
+        solver = JsatSolver(system, final, depth)
         assert solver.solve() is SolveResult.SAT
         resident = solver.resident_literals()
-        # Resident DB stays within a small factor of the base encoding.
+        # Resident DB stays within a small factor of the base encoding
+        # at the module's PURGE_INTERVAL.
         assert resident < solver.base_db_literals * 5
 
     def test_repeated_solves_do_not_leak_groups(self):

@@ -189,3 +189,23 @@ def test_backends_table_lists_provers(capsys):
     assert "proves" in out
     for name in ("k-induction", "interpolation", "diameter"):
         assert name in out
+
+
+def test_backends_names_the_compiled_engine(capsys, monkeypatch):
+    from repro.sat import ckernel
+    monkeypatch.delenv("REPRO_SAT_KERNEL", raising=False)
+    lib = ckernel.load_core()
+    if lib is None:
+        pytest.skip("no C compiler for the compiled kernel core")
+    assert main(["backends"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"sat engine: kernel (compiled core, {lib._name})"
+
+
+def test_backends_names_the_fallback_engine(capsys, monkeypatch):
+    from repro.sat import ckernel
+    monkeypatch.delenv("REPRO_SAT_KERNEL", raising=False)
+    monkeypatch.setattr(ckernel, "load_core", lambda: None)
+    assert main(["backends"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "sat engine: reference (kernel requested; no compiled core)"

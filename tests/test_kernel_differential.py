@@ -1,12 +1,14 @@
-"""Differential/fuzz verification of the array-based CDCL kernel.
+"""Differential/fuzz verification of the compiled CDCL kernel.
 
-The :class:`repro.sat.kernel.KernelSolver` must be indistinguishable
-from the reference :class:`repro.sat.solver.CdclSolver` at the public
-surface — same verdicts, valid models, equivalent assumption-group
-retirement, honored budgets, sane stats — on randomly generated
-problems.  Both kernel backends are pinned: the pure-Python array
-implementation (``REPRO_SAT_CC=off``) and, when a system C compiler is
-available, the compiled core.
+The :class:`repro.sat.kernel.KernelSolver` (the compiled C core) must
+be indistinguishable from the reference
+:class:`repro.sat.solver.CdclSolver` at the public surface — same
+verdicts, valid models, equivalent assumption-group retirement,
+honored budgets, sane stats — on randomly generated problems.  Tests
+that construct the kernel directly are skipped when no system C
+compiler is available; :func:`make_solver` then routes ``"kernel"`` to
+the reference, which is checked here too, as is the routing of
+proof-logged solves to the reference.
 
 Three layers of agreement:
 
@@ -31,9 +33,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bmc.incremental import IncrementalBmc
 from repro.logic.cnf import CNF
-from repro.sat.ckernel import CORE_ENV, compiled_available
+from repro.sat import ckernel
+from repro.sat.ckernel import compiled_available
 from repro.sat.dpll import brute_force_sat
-from repro.sat.kernel import KernelSolver, make_solver
+from repro.sat.kernel import (CompiledCoreUnavailable, KernelSolver,
+                              make_solver)
 from repro.sat.proof import DratProof, ResolutionProof
 from repro.sat.solver import CdclSolver
 from repro.sat.types import (Budget, SolveResult, install_stop_check,
@@ -45,28 +49,22 @@ COMMON = dict(deadline=None,
                                      HealthCheck.data_too_large])
 
 #: Kernel backends under test; the compiled leg is skipped gracefully
-#: when no C compiler is present (the pure-Python path is always on).
-BACKENDS = ["interpreted", "compiled"]
+#: when no C compiler is present.
+BACKENDS = ["compiled"]
 
 
 @pytest.fixture(params=BACKENDS)
-def kernel_backend(request, monkeypatch):
-    """Force one kernel backend for the test's solver constructions."""
-    if request.param == "interpreted":
-        monkeypatch.setenv(CORE_ENV, "off")
-    else:
-        monkeypatch.delenv(CORE_ENV, raising=False)
-        if not compiled_available():
-            pytest.skip("no C compiler for the compiled kernel core")
+def kernel_backend(request):
+    """Skip the test unless the requested kernel backend is present."""
+    if not compiled_available():
+        pytest.skip("no C compiler for the compiled kernel core")
     return request.param
 
 
-def _fresh_kernel(backend, proof=None):
-    """A KernelSolver on the requested backend (dispatch happens at
-    construction time, so the fixture's env var decides)."""
-    solver = KernelSolver(proof=proof)
-    if proof is None:
-        assert solver.backend == backend
+def _fresh_kernel(backend):
+    """A KernelSolver, checked to run on the requested backend."""
+    solver = KernelSolver()
+    assert solver.backend == backend
     return solver
 
 
@@ -118,7 +116,7 @@ class TestRandomCnf:
         rng = random.Random(seed)
         num_vars = rng.randint(4, 10)
         reference = CdclSolver()
-        kernel = KernelSolver()
+        kernel = make_solver("kernel")
         for solver in (reference, kernel):
             solver.ensure_vars(num_vars)
         added = []
@@ -188,14 +186,12 @@ def _raw_clauses(rng, num_vars, count):
     return out
 
 
-@pytest.fixture(params=["reference", "interpreted", "compiled"])
-def any_engine(request, monkeypatch):
-    """A constructor for one of the three engines."""
+@pytest.fixture(params=["reference", "compiled"])
+def any_engine(request):
+    """A constructor for one of the two engines."""
     if request.param == "reference":
         return CdclSolver
-    if request.param == "interpreted":
-        monkeypatch.setenv(CORE_ENV, "off")
-    elif not compiled_available():
+    if not compiled_available():
         pytest.skip("no C compiler for the compiled kernel core")
 
     def build():
@@ -251,8 +247,7 @@ class TestBulkLoad:
         assert not solver.add_clauses_flat([1, 2], [2])
         assert solver.solve() is SolveResult.UNSAT
 
-    def test_compiled_rejects_malformed_ends(self, monkeypatch):
-        monkeypatch.delenv(CORE_ENV, raising=False)
+    def test_compiled_rejects_malformed_ends(self):
         if not compiled_available():
             pytest.skip("no C compiler for the compiled kernel core")
         solver = KernelSolver()
@@ -262,8 +257,7 @@ class TestBulkLoad:
                 solver.add_clauses_flat([1, 2], ends)
         assert solver.num_clauses() == 0 and solver.ok
 
-    def test_compiled_stats_in_one_call(self, monkeypatch):
-        monkeypatch.delenv(CORE_ENV, raising=False)
+    def test_compiled_stats_in_one_call(self):
         if not compiled_available():
             pytest.skip("no C compiler for the compiled kernel core")
         solver = KernelSolver()
@@ -290,7 +284,7 @@ class TestGroupRetirement:
         base = _random_cnf(rng, num_vars, rng.randint(2, 10))
         constraint = [rng.choice([1, -1]) * rng.randint(1, num_vars)
                       for _ in range(rng.randint(1, 3))]
-        solvers = {"reference": CdclSolver(), "kernel": KernelSolver()}
+        solvers = {"reference": CdclSolver(), "kernel": make_solver("kernel")}
         group = num_vars + 1
         status = {}
         for name, solver in solvers.items():
@@ -465,3 +459,26 @@ class TestUnsatProofs:
         solver.add_clauses([[-1, -2]])
         assert solver.solve() is SolveResult.UNSAT
         assert proof.check_refutation(solver.empty_clause_proof)
+
+
+# ----------------------------------------------------------------------
+# Engine routing: make_solver is the one place that picks an engine
+# ----------------------------------------------------------------------
+class TestEngineRouting:
+    def test_kernel_without_core_is_the_reference(self, monkeypatch):
+        monkeypatch.setattr(ckernel, "load_core", lambda: None)
+        solver = make_solver("kernel")
+        assert isinstance(solver, CdclSolver)
+        assert solver.engine == "reference"
+
+    def test_kernel_with_proof_sink_logs_a_checkable_refutation(self):
+        proof = DratProof()
+        solver = make_solver("kernel", proof=proof)
+        _pigeonhole(solver, holes=4)
+        assert solver.solve() is SolveResult.UNSAT
+        assert proof.check_refutation(solver.empty_clause_proof)
+
+    def test_direct_construction_without_core_raises(self, monkeypatch):
+        monkeypatch.setattr(ckernel, "load_core", lambda: None)
+        with pytest.raises(CompiledCoreUnavailable):
+            KernelSolver()
